@@ -26,10 +26,35 @@ def moving_average_matrix(l_ctx, kernel):
     return m
 
 
-class DLinearModel:
+class _Baseline:
+    """Parameter and header plumbing shared by the baselines.
+
+    Their hyperparameters are the integer constructor arguments named in
+    ``header_keys``; the checkpoint header lists them in that order.
+    """
+
+    header_keys = ()
+
+    def parameters(self):
+        return dict(self.params)
+
+    def load_arrays(self, arrays):
+        load_param_arrays(self.params, arrays)
+
+    def config_header(self):
+        return {"kind": self.kind, **{k: getattr(self, k) for k in self.header_keys}}
+
+    @classmethod
+    def from_header(cls, header, seed=0):
+        """Inverse of config_header(); absent hyperparameters keep their defaults."""
+        return cls(**{k: int(header[k]) for k in cls.header_keys if k in header}, seed=seed)
+
+
+class DLinearModel(_Baseline):
     """Two affine maps over a trend/remainder split of the target history."""
 
     kind = "dlinear"
+    header_keys = ("l_ctx", "h_pred", "kernel")
 
     def __init__(self, l_ctx, h_pred, kernel=25, seed=0):
         if l_ctx < 1 or h_pred < 1:
@@ -45,16 +70,6 @@ class DLinearModel:
             "seasonal.w": Tensor(glorot_uniform(rng, (l_ctx, h_pred)), requires_grad=True),
             "seasonal.b": Tensor(np.zeros(h_pred), requires_grad=True),
         }
-
-    def parameters(self):
-        return dict(self.params)
-
-    def load_arrays(self, arrays):
-        load_param_arrays(self.params, arrays)
-
-    def config_header(self):
-        return {"kind": self.kind, "l_ctx": self.l_ctx, "h_pred": self.h_pred,
-                "kernel": self.kernel}
 
     def decompose(self, series):
         """numpy helper: (batch, l_ctx) -> (trend, remainder)."""
@@ -77,7 +92,7 @@ class DLinearModel:
         return forecast
 
 
-class MlpBaseline:
+class MlpBaseline(_Baseline):
     """Flatten every channel's history into one vector and regress the horizon.
 
     The input width is bound to ``n_vars`` at construction; feeding a batch
@@ -85,6 +100,7 @@ class MlpBaseline:
     """
 
     kind = "mlp"
+    header_keys = ("l_ctx", "h_pred", "n_vars", "hidden")
 
     def __init__(self, l_ctx, h_pred, n_vars, hidden=512, seed=0):
         if min(l_ctx, h_pred, n_vars, hidden) < 1:
@@ -103,16 +119,6 @@ class MlpBaseline:
             "out.w": Tensor(glorot_uniform(rng, (hidden, h_pred)), requires_grad=True),
             "out.b": Tensor(np.zeros(h_pred), requires_grad=True),
         }
-
-    def parameters(self):
-        return dict(self.params)
-
-    def load_arrays(self, arrays):
-        load_param_arrays(self.params, arrays)
-
-    def config_header(self):
-        return {"kind": self.kind, "l_ctx": self.l_ctx, "h_pred": self.h_pred,
-                "n_vars": self.n_vars, "hidden": self.hidden}
 
     def forward(self, batch, revin=False):
         context = batch.context

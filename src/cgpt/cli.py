@@ -8,10 +8,10 @@ Subcommands::
     cgpt eval     --checkpoint runs/.../model_96to1.ckpt --dataset additive
     cgpt report   --results runs/ --experiment 2 --out table2.csv
 
-``train`` also accepts ``--config FILE`` pointing at a flat ``key=value``
-text file; explicit flags override file values.  Exit codes: 0 success,
-1 usage error, 2 runtime failure.  The ``CGPT_DATA_DIR`` environment
-variable names the directory holding real-world CSV files.
+``train`` and ``eval`` also accept ``--config FILE`` pointing at a flat
+``key=value`` text file; explicit flags override file values.  Exit codes:
+0 success, 1 usage error, 2 runtime failure.  The ``CGPT_DATA_DIR``
+environment variable names the directory holding real-world CSV files.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import argparse
 import csv
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -29,14 +29,29 @@ from .baselines import DLinearModel, MlpBaseline
 from .checkpoint import load_checkpoint, save_checkpoint
 from .datasets import (SplitPolicy, SyntheticConfig, generate_additive,
                        generate_interactive, load_csv, prepare_dataset)
-from .layers import EncoderConfig
-from .model import CausalGraph, CgptConfig, CgptModel, Variant, select_contexts
-from .preprocessing import PatchConfig, iter_window_batches
+from .model import CausalGraph, CgptModel, Variant, select_contexts
+from .preprocessing import iter_window_batches
 from .training import (TrainConfig, evaluate, parse_record, result_record,
                        run_seeds, train)
 
-MODEL_IDS = ("leaky", "strict", "pure", "dlinear", "mlp")
-SYNTHETIC_IDS = ("additive", "interactive")
+# Model id -> class.  The classes turn a flat header of hyperparameters
+# into a model (from_header) and back (config_header).
+MODELS = {**{v.value: CgptModel for v in Variant},
+          "dlinear": DLinearModel, "mlp": MlpBaseline}
+MODEL_IDS = tuple(MODELS)
+_KINDS = {cls.kind: cls for cls in MODELS.values()}
+
+_GENERATORS = {"additive": generate_additive, "interactive": generate_interactive}
+
+# Real-world CSVs under CGPT_DATA_DIR: file name, and the rule that picks
+# the target column when the config file sets no ``target``.
+_REAL_CSVS = {
+    "factory": ("continuous_factory_process.csv",
+                "containing 'Stage1.Output.Measurement0.U'",
+                lambda col: "Stage1.Output.Measurement0.U" in col),
+    "amino": ("amino_emissions.csv", "starting with '2-Amino'",
+              lambda col: col.startswith("2-Amino")),
+}
 
 
 class UsageError(Exception):
@@ -45,12 +60,12 @@ class UsageError(Exception):
 
 @dataclass
 class ExperimentSpec:
-    """One resolved experiment: what to train, on what, where to put it."""
+    """One resolved experiment; fields other than ``options`` are train flags."""
 
     dataset: str
     model: str
-    l_ctx: int = 96
-    h_pred: int = 96
+    context: int = 96
+    horizon: int = 96
     revin: bool = False
     seeds: tuple = (0, 1, 2, 3, 4)
     out: str = "out"
@@ -60,47 +75,12 @@ class ExperimentSpec:
 
 # ---------------------------------------------------------------- config file
 
-# Keys a config file may set.  The first group mirrors the CLI flags and
-# is overridden by them; the second tunes data loading and model/training
-# hyperparameters that have no dedicated flag.
-_SPEC_CONVERTERS = {
-    "dataset": str,
-    "model": str,
-    "context": int,
-    "horizon": int,
-    "revin": None,  # handled by _parse_yes_no
-    "seeds": None,  # handled by _parse_seeds
-    "out": str,
-}
-_OPTION_CONVERTERS = {
-    "data_seed": int,
-    "length": int,
-    "target": str,
-    "d_model": int,
-    "d_ff": int,
-    "n_heads": int,
-    "e_layers": int,
-    "patch_len": int,
-    "stride": int,
-    "n_p_max": int,
-    "kernel": int,
-    "hidden": int,
-    "lr": float,
-    "batch": int,
-    "max_epochs": int,
-    "patience": int,
-}
-
-
 def _parse_seeds(text):
     try:
-        seeds = tuple(int(part) for part in text.split(","))
+        return tuple(int(part) for part in text.split(","))
     except ValueError:
         raise UsageError(f"cannot parse seed list {text!r}; "
                          "expected comma-separated integers like 0,1,2") from None
-    if not seeds:
-        raise UsageError("seed list is empty")
-    return seeds
 
 
 def _parse_yes_no(text):
@@ -109,13 +89,31 @@ def _parse_yes_no(text):
     return text == "yes"
 
 
+def _model_id(text):
+    if text not in MODELS:
+        raise UsageError(f"unknown model id {text!r}; valid ids: {', '.join(MODEL_IDS)}")
+    return text
+
+
+# Keys a config file may set, each with the converter for its value.  The
+# first group mirrors the train flags, which override it; the rest set data
+# loading, model and training options that have no flag.
+_CONVERTERS = {
+    "dataset": str, "model": _model_id, "context": int, "horizon": int,
+    "revin": _parse_yes_no, "seeds": _parse_seeds, "out": str,
+    "data_seed": int, "length": int, "target": str,
+    "d_model": int, "d_ff": int, "n_heads": int, "e_layers": int, "patch_len": int,
+    "stride": int, "n_p_max": int, "kernel": int, "hidden": int,
+    "lr": float, "batch": int, "max_epochs": int, "patience": int,
+}
+
+
 def read_config(path):
-    """Flat key=value file -> dict of raw strings; '#' starts a comment."""
+    """Flat key=value file -> dict of converted values; '#' starts a comment."""
     path = Path(path)
     if not path.exists():
         raise UsageError(f"config file not found: {path}")
     values = {}
-    valid = set(_SPEC_CONVERTERS) | set(_OPTION_CONVERTERS)
     for lineno, line in enumerate(path.read_text().splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -124,59 +122,32 @@ def read_config(path):
             raise UsageError(f"{path}:{lineno}: expected key=value, got {stripped!r}")
         key, _, value = stripped.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in valid:
+        if key not in _CONVERTERS:
             raise UsageError(f"{path}:{lineno}: unknown key {key!r}; "
-                             f"valid keys: {', '.join(sorted(valid))}")
-        values[key] = value
+                             f"valid keys: {', '.join(sorted(_CONVERTERS))}")
+        try:
+            values[key] = _CONVERTERS[key](value)
+        except ValueError:
+            raise UsageError(
+                f"{path}:{lineno}: config key {key}: cannot parse {value!r}") from None
     return values
 
 
 def build_spec(args):
     """Merge config file and flags (flags win) into an ExperimentSpec."""
-    raw = read_config(args.config) if args.config else {}
+    values = read_config(args.config) if args.config else {}
+    spec_keys = {f.name for f in fields(ExperimentSpec)}
+    values.update((k, v) for k, v in vars(args).items() if k in spec_keys and v is not None)
+    for key in ("dataset", "model"):
+        if key not in values:
+            raise UsageError(f"no {key} given; pass --{key} or set it in the config file")
+    spec = {k: values.pop(k) for k in spec_keys & values.keys()}
+    return ExperimentSpec(**spec, options=values)
 
-    def pick(key, flag_value, convert, default):
-        if flag_value is not None:
-            return flag_value
-        if key in raw:
-            try:
-                return convert(raw[key])
-            except (ValueError, TypeError):
-                raise UsageError(
-                    f"config key {key}: cannot parse {raw[key]!r}") from None
-        return default
 
-    dataset = pick("dataset", args.dataset, str, None)
-    if dataset is None:
-        raise UsageError("no dataset given; pass --dataset or set it in the config file")
-    model = pick("model", args.model, str, None)
-    if model is None:
-        raise UsageError("no model given; pass --model or set it in the config file")
-    if model not in MODEL_IDS:
-        raise UsageError(f"unknown model id {model!r}; valid ids: {', '.join(MODEL_IDS)}")
-
-    options = {}
-    for key, convert in _OPTION_CONVERTERS.items():
-        if key in raw:
-            try:
-                options[key] = convert(raw[key])
-            except (ValueError, TypeError):
-                raise UsageError(
-                    f"config key {key}: cannot parse {raw[key]!r}") from None
-
-    return ExperimentSpec(
-        dataset=dataset,
-        model=model,
-        l_ctx=pick("context", args.context, int, 96),
-        h_pred=pick("horizon", args.horizon, int, 96),
-        revin=pick("revin", _parse_yes_no(args.revin) if args.revin else None,
-                   _parse_yes_no, False),
-        seeds=pick("seeds", _parse_seeds(args.seeds) if args.seeds else None,
-                   _parse_seeds, (0, 1, 2, 3, 4)),
-        out=pick("out", args.out, str, "out"),
-        overwrite=getattr(args, "overwrite", False),
-        options=options,
-    )
+def _pick(options, **keys):
+    """{name: options[key]} for each name=key pair whose key is set."""
+    return {name: options[key] for name, key in keys.items() if options.get(key) is not None}
 
 
 # ------------------------------------------------------------------ datasets
@@ -185,18 +156,11 @@ def _data_dir():
     return Path(os.environ.get("CGPT_DATA_DIR", "."))
 
 
-def _sniff_header(path):
-    with open(path, newline="") as fh:
-        try:
-            return next(csv.reader(fh))
-        except StopIteration:
-            raise ValueError(f"{path}: empty dataset (no header row)") from None
-
-
 def _first_column(path, predicate, description):
-    for col in _sniff_header(path):
-        if predicate(col):
-            return col
+    with open(path, newline="") as fh:
+        for col in next(csv.reader(fh), []):
+            if predicate(col):
+                return col
     raise ValueError(f"{path}: no column {description}")
 
 
@@ -233,31 +197,21 @@ def resolve_dataset(dataset_id, options=None):
     options = dict(options or {})
     ratio = SplitPolicy.RATIO_70_20_10
 
-    if dataset_id in SYNTHETIC_IDS:
-        cfg = SyntheticConfig(length=options.get("length", 6144),
-                              seed=options.get("data_seed", 0))
-        generate = generate_additive if dataset_id == "additive" else generate_interactive
-        return generate(cfg), ratio
+    if dataset_id in _GENERATORS:
+        cfg = SyntheticConfig(**_pick(options, length="length", seed="data_seed"))
+        return _GENERATORS[dataset_id](cfg), ratio
 
     if dataset_id == "etth1":
         path = _data_dir() / "ETTh1.csv"
         return load_csv(path, target="OT", name="etth1"), SplitPolicy.ETTH1_STANDARD
 
-    if dataset_id == "factory":
-        path = _data_dir() / "continuous_factory_process.csv"
+    if dataset_id in _REAL_CSVS:
+        file_name, description, is_target = _REAL_CSVS[dataset_id]
+        path = _data_dir() / file_name
         target = options.get("target")
         if target is None and path.exists():
-            target = _first_column(path, lambda c: "Stage1.Output.Measurement0.U" in c,
-                                   "containing 'Stage1.Output.Measurement0.U'")
-        return load_csv(path, target=target, name="factory"), ratio
-
-    if dataset_id == "amino":
-        path = _data_dir() / "amino_emissions.csv"
-        target = options.get("target")
-        if target is None and path.exists():
-            target = _first_column(path, lambda c: c.startswith("2-Amino"),
-                                   "starting with '2-Amino'")
-        return load_csv(path, target=target, name="amino"), ratio
+            target = _first_column(path, is_target, description)
+        return load_csv(path, target=target, name=dataset_id), ratio
 
     if dataset_id.endswith(".csv"):
         path = Path(dataset_id)
@@ -273,7 +227,7 @@ def resolve_dataset(dataset_id, options=None):
             dataset = replace(dataset, graph=graph)
         return dataset, ratio
 
-    known = ", ".join(SYNTHETIC_IDS + ("etth1", "factory", "amino"))
+    known = ", ".join([*_GENERATORS, "etth1", *_REAL_CSVS])
     raise UsageError(f"unknown dataset id {dataset_id!r}; "
                      f"valid ids: {known}, or a path to a .csv file")
 
@@ -281,53 +235,28 @@ def resolve_dataset(dataset_id, options=None):
 # -------------------------------------------------------------------- models
 
 def build_model(spec, n_vars, seed):
-    opts = spec.options
-    if spec.model in ("leaky", "strict", "pure"):
-        encoder = EncoderConfig(
-            d_model=opts.get("d_model", 64),
-            d_ff=opts.get("d_ff", 128),
-            n_heads=opts.get("n_heads", 1),
-            e_layers=opts.get("e_layers", 1),
-            patch=PatchConfig(patch_len=opts.get("patch_len", 32),
-                              stride=opts.get("stride", 32)),
-            n_p_max=opts.get("n_p_max", 64),
-        )
-        cfg = CgptConfig(encoder, spec.l_ctx, spec.h_pred, Variant.from_id(spec.model))
-        return CgptModel(cfg, seed=seed)
-    if spec.model == "dlinear":
-        return DLinearModel(spec.l_ctx, spec.h_pred,
-                            kernel=opts.get("kernel", 25), seed=seed)
-    if spec.model == "mlp":
-        return MlpBaseline(spec.l_ctx, spec.h_pred, n_vars,
-                           hidden=opts.get("hidden", 512), seed=seed)
-    raise UsageError(f"unknown model id {spec.model!r}; "
-                     f"valid ids: {', '.join(MODEL_IDS)}")
+    header = dict(spec.options, variant=spec.model, l_ctx=spec.context,
+                  h_pred=spec.horizon, n_vars=n_vars)
+    return MODELS[spec.model].from_header(header, seed=seed)
 
 
 def model_from_checkpoint(header, arrays):
-    """Rebuild a model from a checkpoint's config header and load its weights."""
-    kind = header.get("kind")
-    if kind == "cgpt":
-        encoder = EncoderConfig(
-            d_model=int(header["d_model"]),
-            d_ff=int(header["d_ff"]),
-            n_heads=int(header["n_heads"]),
-            e_layers=int(header["e_layers"]),
-            patch=PatchConfig(patch_len=int(header["patch_len"]),
-                              stride=int(header["stride"])),
-            n_p_max=int(header["n_p_max"]),
-        )
-        model = CgptModel(CgptConfig(encoder, int(header["l_ctx"]),
-                                     int(header["h_pred"]),
-                                     Variant.from_id(header["variant"])))
-    elif kind == "dlinear":
-        model = DLinearModel(int(header["l_ctx"]), int(header["h_pred"]),
-                             kernel=int(header["kernel"]))
-    elif kind == "mlp":
-        model = MlpBaseline(int(header["l_ctx"]), int(header["h_pred"]),
-                            int(header["n_vars"]), hidden=int(header["hidden"]))
-    else:
-        raise ValueError(f"checkpoint names unknown model kind {kind!r}")
+    """Rebuild a model from a checkpoint's config header and load its weights.
+
+    The header must describe the model completely: every key the rebuilt
+    model would write has to be present with the same value.
+    """
+    cls = _KINDS.get(header.get("kind"))
+    if cls is None:
+        raise ValueError(f"checkpoint names unknown model kind {header.get('kind')!r}")
+    model = cls.from_header(header)
+    problems = [f"{key} missing" if key not in header else
+                f"{key}={header[key]} rebuilds as {value}"
+                for key, value in model.config_header().items()
+                if key not in header or str(header[key]) != str(value)]
+    if problems:
+        raise ValueError(f"checkpoint header does not describe a {cls.kind} model: "
+                         + "; ".join(problems))
     model.load_arrays(arrays)
     return model
 
@@ -335,9 +264,7 @@ def model_from_checkpoint(header, arrays):
 # --------------------------------------------------------------- subcommands
 
 def cmd_gen_data(args):
-    cfg = SyntheticConfig(length=args.length, seed=args.seed)
-    generate = generate_additive if args.dataset == "additive" else generate_interactive
-    dataset = generate(cfg)
+    dataset, _ = resolve_dataset(args.dataset, {"length": args.length, "data_seed": args.seed})
 
     out = Path(args.out)
     if out.parent != Path(""):
@@ -361,9 +288,9 @@ def cmd_gen_data(args):
 def cmd_train(args):
     spec = build_spec(args)
     dataset, policy = resolve_dataset(spec.dataset, spec.options)
-    prepared, _ = prepare_dataset(dataset, policy, spec.l_ctx, spec.h_pred)
+    prepared, _ = prepare_dataset(dataset, policy, spec.context, spec.horizon)
 
-    task = f"{spec.l_ctx}to{spec.h_pred}"
+    task = f"{spec.context}to{spec.horizon}"
     revin_dir = "revin_yes" if spec.revin else "revin_no"
     out_root = Path(spec.out) / dataset.name / spec.model / revin_dir
     seed_dirs = {seed: out_root / f"seed_{seed}" for seed in spec.seeds}
@@ -378,24 +305,20 @@ def cmd_train(args):
             + (f" (and {len(blockers) - 1} more)" if len(blockers) > 1 else "")
             + "; pass --overwrite to replace it")
 
-    train_cfg_base = dict(
-        lr=spec.options.get("lr", 1e-3),
-        batch_size=spec.options.get("batch", 256),
-        max_epochs=spec.options.get("max_epochs", 100),
-        patience=spec.options.get("patience", 10),
-        revin=spec.revin,
-    )
+    train_options = _pick(spec.options, lr="lr", batch_size="batch",
+                          max_epochs="max_epochs", patience="patience")
     meta = {
         "dataset": dataset.name,
         "model": spec.model,
         "revin": "yes" if spec.revin else "no",
-        "l_ctx": spec.l_ctx,
-        "h_pred": spec.h_pred,
+        "l_ctx": spec.context,
+        "h_pred": spec.horizon,
     }
 
     def run_one(seed):
         model = build_model(spec, prepared.n_channels, seed)
-        result = train(model, prepared, TrainConfig(seed=seed, **train_cfg_base))
+        cfg = TrainConfig(seed=seed, revin=spec.revin, **train_options)
+        result = train(model, prepared, cfg)
         seed_dir = seed_dirs[seed]
         seed_dir.mkdir(parents=True, exist_ok=True)
         (seed_dir / f"result_{task}.txt").write_text(result_record(result, meta))
@@ -417,21 +340,13 @@ def cmd_train(args):
 
 
 def cmd_eval(args):
+    options = read_config(args.config) if args.config else {}
     header, arrays = load_checkpoint(args.checkpoint)
     model = model_from_checkpoint(header, arrays)
-
-    options = read_config(args.config) if args.config else {}
-    for key in ("data_seed", "length"):
-        if key in options:
-            options[key] = int(options[key])
     dataset, policy = resolve_dataset(args.dataset, options)
     prepared, _ = prepare_dataset(dataset, policy, model.l_ctx, model.h_pred)
 
-    if args.revin is not None:
-        revin = _parse_yes_no(args.revin)
-    else:
-        revin = header.get("revin", "no") == "yes"
-
+    revin = args.revin if args.revin is not None else header.get("revin", "no") == "yes"
     contexts = select_contexts(prepared.graph, prepared.target,
                                range(prepared.n_channels))
     batches = iter_window_batches(prepared.values, prepared.borders[2],
@@ -451,8 +366,13 @@ _EXPERIMENT_TASKS = {1: ((96, 96),), 2: ((96, 1),), 3: ((96, 96), (96, 1))}
 
 def _collect_records(results_dir):
     root = Path(results_dir)
-    files = sorted(root.rglob("result_*.txt"))
-    records = [parse_record(f.read_text()) for f in files]
+    records = []
+    for path in sorted(root.rglob("result_*.txt")):
+        record = parse_record(path.read_text())
+        for key in ("test_mae", "test_mse"):
+            if not np.isfinite(float(record[key])):
+                raise RuntimeError(f"{path}: {key}={record[key]} is not finite")
+        records.append(record)
     if not records:
         raise RuntimeError(f"no result_*.txt records found under {root}")
     return records
@@ -559,9 +479,9 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
     gen = sub.add_parser("gen-data", help="write a synthetic dataset to CSV")
-    gen.add_argument("--dataset", required=True, choices=SYNTHETIC_IDS)
-    gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--length", type=int, default=6144)
+    gen.add_argument("--dataset", required=True, choices=tuple(_GENERATORS))
+    gen.add_argument("--seed", type=int, help="generator seed (default 0)")
+    gen.add_argument("--length", type=int, help="rows to generate (default 6144)")
     gen.add_argument("--out", required=True, help="CSV output path")
     gen.set_defaults(run=cmd_gen_data)
 
@@ -571,8 +491,9 @@ def build_parser():
     tr.add_argument("--model", choices=MODEL_IDS)
     tr.add_argument("--context", type=int, help="history length (default 96)")
     tr.add_argument("--horizon", type=int, help="forecast length (default 96)")
-    tr.add_argument("--revin", choices=("yes", "no"))
-    tr.add_argument("--seeds", help="comma-separated list, default 0,1,2,3,4")
+    tr.add_argument("--revin", type=_parse_yes_no, metavar="{yes,no}")
+    tr.add_argument("--seeds", type=_parse_seeds,
+                    help="comma-separated list, default 0,1,2,3,4")
     tr.add_argument("--out", help="results root directory (default out)")
     tr.add_argument("--overwrite", action="store_true",
                     help="replace existing results/checkpoints")
@@ -581,9 +502,10 @@ def build_parser():
     ev = sub.add_parser("eval", help="score a saved checkpoint on a test split")
     ev.add_argument("--checkpoint", required=True)
     ev.add_argument("--dataset", required=True, help="dataset id or .csv path")
-    ev.add_argument("--revin", choices=("yes", "no"),
+    ev.add_argument("--revin", type=_parse_yes_no, metavar="{yes,no}",
                     help="override the setting stored in the checkpoint")
-    ev.add_argument("--config", help="key=value file for dataset options")
+    ev.add_argument("--config", help="key=value file; only data_seed, length "
+                                     "and target are used")
     ev.set_defaults(run=cmd_eval)
 
     rep = sub.add_parser("report", help="aggregate result records into a CSV table")

@@ -214,23 +214,34 @@ def load_csv(path, target, schema=None, name=None):
         rows, problems = [], []
         for lineno, row in enumerate(reader, start=2):
             if len(row) != len(header):
-                problems.append(f"line {lineno}: expected {len(header)} fields, got {len(row)}")
+                problems.append((lineno, f"expected {len(header)} fields, got {len(row)}"))
                 continue
             try:
                 rows.append([float(row[i]) for i, _ in kept])
             except ValueError:
                 bad = next(col for i, col in kept if not _is_float(row[i]))
-                problems.append(f"line {lineno}: non-numeric value in column {bad!r}")
-        if problems:
-            shown = "; ".join(problems[:10])
-            more = f" (+{len(problems) - 10} more)" if len(problems) > 10 else ""
-            raise ValueError(f"{path}: rejected {len(problems)} rows: {shown}{more}")
-        if not rows:
-            raise ValueError(f"{path}: empty dataset (header only)")
+                problems.append((lineno, f"non-numeric value in column {bad!r}"))
+
+    values = np.array(rows, dtype=np.float64).reshape(len(rows), len(kept))
+    bad_rows = np.flatnonzero(~np.isfinite(values).all(axis=1))
+    if bad_rows.size:
+        # line numbers of the parsed rows: every data line not already rejected
+        skipped = [lineno for lineno, _ in problems]
+        linenos = np.setdiff1d(np.arange(2, 2 + len(rows) + len(skipped)), skipped)
+        for r in bad_rows:
+            bad = names[np.argmin(np.isfinite(values[r]))]
+            problems.append((int(linenos[r]), f"non-finite value in column {bad!r}"))
+    if problems:
+        problems.sort()
+        shown = "; ".join(f"line {lineno}: {what}" for lineno, what in problems[:10])
+        more = f" (+{len(problems) - 10} more)" if len(problems) > 10 else ""
+        raise ValueError(f"{path}: rejected {len(problems)} rows: {shown}{more}")
+    if not rows:
+        raise ValueError(f"{path}: empty dataset (header only)")
 
     return TimeSeriesDataset(
         name=name or path.stem,
-        values=np.asarray(rows, dtype=np.float64),
+        values=values,
         channel_names=tuple(names),
         roles=tuple(roles),
         target=names.index(target),

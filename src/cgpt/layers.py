@@ -31,7 +31,6 @@ class EncoderConfig:
     d_ff: int = 128
     n_heads: int = 1
     e_layers: int = 1
-    dropout: float = 0.0
     patch: PatchConfig = field(default_factory=PatchConfig)
     n_p_max: int = 64
 
@@ -40,8 +39,6 @@ class EncoderConfig:
             raise ValueError(f"encoder dimensions must be positive: {self}")
         if self.d_model % self.n_heads != 0:
             raise ValueError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
-        if self.dropout != 0.0:
-            raise ValueError("only dropout=0.0 is supported")
 
 
 def glorot_uniform(rng, shape):

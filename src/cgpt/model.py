@@ -15,7 +15,7 @@ the influence computation may see of the target:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 
 import numpy as np
@@ -29,7 +29,7 @@ from .layers import (
     load_param_arrays,
     pool_latent,
 )
-from .preprocessing import make_patches, revin_normalize
+from .preprocessing import PatchConfig, make_patches, revin_normalize
 from .tensor import Tensor, concat_last_dim, gelu, matmul
 
 
@@ -162,6 +162,17 @@ class CgptModel:
             "n_p_max": enc.n_p_max,
         }
 
+    @classmethod
+    def from_header(cls, header, seed=0):
+        """Inverse of config_header(); absent hyperparameters keep their defaults."""
+        def build(config_cls, **nested):
+            given = {f.name: type(f.default)(header[f.name])
+                     for f in fields(config_cls) if f.name in header}
+            return config_cls(**nested, **given)
+
+        encoder = build(EncoderConfig, patch=build(PatchConfig))
+        return cls(build(CgptConfig, encoder=encoder), seed=seed)
+
     def encode_channel(self, series):
         """(batch, l_ctx) numpy history -> (batch, d_model) latent Tensor."""
         patches = make_patches(series, self.cfg.encoder.patch)
@@ -188,16 +199,12 @@ def influence(z_target, z_context, model):
 
 def aggregate(z_target, influences, variant):
     """Sum influences onto the target stream (or alone, for PURE_INFLUENCE)."""
-    if variant is Variant.PURE_INFLUENCE:
-        if not influences:
-            raise ValueError("PURE_INFLUENCE needs at least one context channel")
-        total = influences[0]
-        for inf in influences[1:]:
-            total = total + inf
-        return total
-    total = z_target
-    for inf in influences:
-        total = total + inf
+    terms = list(influences) if variant is Variant.PURE_INFLUENCE else [z_target, *influences]
+    if not terms:
+        raise ValueError("PURE_INFLUENCE needs at least one context channel")
+    total = terms[0]
+    for term in terms[1:]:
+        total = total + term
     return total
 
 

@@ -65,8 +65,6 @@ class Tensor:
             return scale(self, float(other))
         return mul(self, other)
 
-    __rmul__ = __mul__
-
     def __neg__(self):
         return scale(self, -1.0)
 
@@ -238,10 +236,6 @@ def narrow(a, axis, start, stop):
         return (z,)
 
     return _record(a.data[idx].copy(), (a,), bwd)
-
-
-def slice_last_dim(a, start, stop):
-    return narrow(a, -1, start, stop)
 
 
 def sum_axis(a, axis=None):

@@ -162,6 +162,7 @@ def test_c03_etth1_public_reproduction():
 
 # --------------------------------------------------------------- C4
 
+@pytest.mark.slow
 @criterion(4, "one-step ablation: pure >= 1.5x leaky MSE; leaky~strict within 20%")
 def test_c04_ablation_direction():
     # Downscaled but trained to convergence: d_model 32, finer patches and

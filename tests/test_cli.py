@@ -9,8 +9,11 @@ import csv
 import numpy as np
 import pytest
 
+from cgpt.checkpoint import save_checkpoint
 from cgpt.cli import main, report_rows
 from cgpt.datasets import generate_additive, load_csv, SyntheticConfig
+from cgpt.layers import EncoderConfig
+from cgpt.model import CgptConfig, CgptModel
 from cgpt.training import RunResult, result_record
 
 # Small enough to train in well under a second, large enough that every
@@ -199,9 +202,10 @@ def test_csv_dataset_without_target_key_is_usage_error(tmp_path, capsys):
 # --------------------------------------------------------------------- eval
 
 
-def test_eval_matches_training_record(tmp_path, capsys):
-    main(train_argv(tmp_path))
-    seed_dir = tmp_path / "runs" / "additive" / "leaky" / "revin_no" / "seed_0"
+@pytest.mark.parametrize("model", ["leaky", "strict", "pure", "dlinear", "mlp"])
+def test_eval_matches_training_record(tmp_path, capsys, model):
+    main(train_argv(tmp_path, model=model))
+    seed_dir = tmp_path / "runs" / "additive" / model / "revin_no" / "seed_0"
     record = dict(line.split("=", 1) for line in
                   (seed_dir / "result_96to1.txt").read_text().splitlines())
     capsys.readouterr()
@@ -218,6 +222,27 @@ def test_eval_rejects_garbage_checkpoint(tmp_path, capsys):
     bad = tmp_path / "model.ckpt"
     bad.write_bytes(b"\x01\x02\x03")
     assert main(["eval", "--checkpoint", str(bad), "--dataset", "additive"]) == 2
+
+
+def test_eval_rejects_header_missing_a_hyperparameter(tmp_path, capsys):
+    model = CgptModel(CgptConfig(EncoderConfig(d_model=8, d_ff=8), 96, 1))
+    header = model.config_header()
+    del header["stride"]
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(ckpt, header, model.parameters())
+    assert main(["eval", "--checkpoint", str(ckpt), "--dataset", "additive"]) == 2
+    assert "stride missing" in capsys.readouterr().err
+
+
+def test_eval_config_value_of_wrong_type_is_usage_error(tmp_path, capsys):
+    main(train_argv(tmp_path))
+    ckpt = tmp_path / "runs" / "additive" / "leaky" / "revin_no" / "seed_0" / "model_96to1.ckpt"
+    cfg = tmp_path / "eval.cfg"
+    cfg.write_text("length=abc\n")
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(ckpt), "--dataset", "additive",
+                 "--config", str(cfg)]) == 1
+    assert "config key length" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------------- report
@@ -287,6 +312,18 @@ def test_report_filters_by_task(tmp_path):
     # experiment 1 wants 96->96; only a 96->1 record exists
     assert main(["report", "--results", str(runs), "--experiment", "1",
                  "--out", str(out)]) == 2
+
+
+def test_report_refuses_non_finite_record(tmp_path, capsys):
+    runs = tmp_path / "runs"
+    fake_record(runs, seed=0)
+    fake_record(runs, seed=1, mae=float("nan"))
+    out = tmp_path / "table.csv"
+    assert main(["report", "--results", str(runs), "--experiment", "2",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "seed_1" in err and "test_mae=nan" in err
+    assert not out.exists()
 
 
 def test_report_empty_directory_is_runtime_error(tmp_path, capsys):

@@ -196,8 +196,10 @@ def test_load_csv_errors(tmp_path):
 
 def test_load_csv_reports_every_bad_line(tmp_path):
     p = tmp_path / "multi.csv"
-    p.write_text("a,OT\n1,2\nx,2\n3,y\n")
-    with pytest.raises(ValueError, match=r"rejected 2 rows.*line 3.*line 4"):
+    p.write_text("a,OT\n1,2\nx,2\n3,y\nnan,1\n4,inf\n")
+    with pytest.raises(ValueError, match=r"rejected 4 rows.*line 3.*line 4.*"
+                                         r"line 5: non-finite value in column 'a'.*"
+                                         r"line 6: non-finite value in column 'OT'"):
         load_csv(p, target="OT")
 
 

@@ -221,5 +221,5 @@ def test_config_validation():
         EncoderConfig(d_model=8, n_heads=3)
     with pytest.raises(ValueError):
         EncoderConfig(d_model=0)
-    with pytest.raises(ValueError, match="dropout"):
+    with pytest.raises(TypeError):
         EncoderConfig(dropout=0.1)
