@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .checkpoint import header_value
 from .layers import glorot_uniform, load_param_arrays
 from .preprocessing import revin_normalize
 from .tensor import Tensor, matmul, relu, reshape
@@ -47,7 +48,8 @@ class _Baseline:
     @classmethod
     def from_header(cls, header, seed=0):
         """Inverse of config_header(); absent hyperparameters keep their defaults."""
-        return cls(**{k: int(header[k]) for k in cls.header_keys if k in header}, seed=seed)
+        return cls(**{k: header_value(header, k, int) for k in cls.header_keys if k in header},
+                   seed=seed)
 
 
 class DLinearModel(_Baseline):

@@ -20,6 +20,16 @@ import numpy as np
 _U32 = struct.Struct("<I")
 
 
+def header_value(header, key, convert):
+    """``convert(header[key])``; a value it rejects raises a ValueError
+    that names the key and the value."""
+    try:
+        return convert(header[key])
+    except ValueError:
+        raise ValueError(f"header key {key}: cannot read {header[key]!r} "
+                         f"as {convert.__name__}") from None
+
+
 def save_checkpoint(path, config, params):
     """Write a config header plus named float64 arrays to ``path``."""
     header = "".join(f"{k}={v}\n" for k, v in config.items()).encode("utf-8")

@@ -285,6 +285,17 @@ def cmd_gen_data(args):
     return 0
 
 
+def _write_atomic(path, write):
+    """Run ``write`` on a temporary file beside ``path``, then move it into
+    place, so ``path`` is either absent or complete."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        write(tmp)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def cmd_train(args):
     spec = build_spec(args)
     dataset, policy = resolve_dataset(spec.dataset, spec.options)
@@ -295,10 +306,10 @@ def cmd_train(args):
     out_root = Path(spec.out) / dataset.name / spec.model / revin_dir
     seed_dirs = {seed: out_root / f"seed_{seed}" for seed in spec.seeds}
 
-    blockers = [p
-                for d in seed_dirs.values()
-                for p in (d / f"result_{task}.txt", d / f"model_{task}.ckpt")
-                if p.exists()]
+    # A record is written last, so it alone marks a finished run; a seed
+    # dir holding only a checkpoint is what a crashed run leaves behind.
+    blockers = [d / f"result_{task}.txt" for d in seed_dirs.values()
+                if (d / f"result_{task}.txt").exists()]
     if blockers and not spec.overwrite:
         raise RuntimeError(
             f"output already exists: {blockers[0]}"
@@ -321,11 +332,12 @@ def cmd_train(args):
         result = train(model, prepared, cfg)
         seed_dir = seed_dirs[seed]
         seed_dir.mkdir(parents=True, exist_ok=True)
-        (seed_dir / f"result_{task}.txt").write_text(result_record(result, meta))
         header = dict(model.config_header())
         header.update(dataset=dataset.name, revin=meta["revin"], seed=seed)
-        save_checkpoint(seed_dir / f"model_{task}.ckpt", header,
-                        dict(model.parameters()))
+        _write_atomic(seed_dir / f"model_{task}.ckpt",
+                      lambda path: save_checkpoint(path, header, dict(model.parameters())))
+        record = result_record(result, meta)
+        _write_atomic(seed_dir / f"result_{task}.txt", lambda path: path.write_text(record))
         print(f"seed {seed}: test_mae={result.test_mae:.6f} "
               f"test_mse={result.test_mse:.6f} "
               f"(best epoch {result.best_epoch}/{result.epochs_run})")
@@ -342,7 +354,10 @@ def cmd_train(args):
 def cmd_eval(args):
     options = read_config(args.config) if args.config else {}
     header, arrays = load_checkpoint(args.checkpoint)
-    model = model_from_checkpoint(header, arrays)
+    try:
+        model = model_from_checkpoint(header, arrays)
+    except ValueError as err:
+        raise ValueError(f"{args.checkpoint}: {err}") from None
     dataset, policy = resolve_dataset(args.dataset, options)
     prepared, _ = prepare_dataset(dataset, policy, model.l_ctx, model.h_pred)
 

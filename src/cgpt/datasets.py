@@ -288,9 +288,27 @@ def standardize_dataset(dataset, stats):
     return dataset.with_values(apply_standardizer(dataset.values, stats))
 
 
+def _reject_non_finite(dataset, borders):
+    """Raise on the first non-finite value in any split's rows, naming the
+    split, the row (0-based) and the column."""
+    used = dataset.values[:borders[-1][1]]
+    finite = np.isfinite(used)
+    if finite.all():
+        return
+    row, col = np.argwhere(~finite)[0]
+    split = next(name for name, (start, end) in zip(("train", "val", "test"), borders)
+                 if start <= row < end)
+    raise ValueError(f"{dataset.name}: non-finite value {float(used[row, col])!r} in the {split} "
+                     f"split, row {row}, column {dataset.channel_names[col]!r}")
+
+
 def prepare_dataset(dataset, policy, l_ctx=None, h_pred=None):
-    """Attach split borders and rescale by train-split statistics."""
+    """Attach split borders and rescale by train-split statistics.
+
+    Every row of every split must be finite.
+    """
     borders = split_borders(dataset, policy, l_ctx, h_pred)
+    _reject_non_finite(dataset, borders)
     ready = dataset.with_borders(borders)
     stats = fit_standardizer(ready.values, borders[0])
     return standardize_dataset(ready, stats), stats

@@ -20,6 +20,7 @@ from enum import Enum
 
 import numpy as np
 
+from .checkpoint import header_value
 from .layers import (
     EncoderConfig,
     embed_patches,
@@ -166,7 +167,7 @@ class CgptModel:
     def from_header(cls, header, seed=0):
         """Inverse of config_header(); absent hyperparameters keep their defaults."""
         def build(config_cls, **nested):
-            given = {f.name: type(f.default)(header[f.name])
+            given = {f.name: header_value(header, f.name, type(f.default))
                      for f in fields(config_cls) if f.name in header}
             return config_cls(**nested, **given)
 

@@ -5,7 +5,9 @@ anything else is deliberately unrepresentable.  Each op records a backward
 closure on its output when some input requires gradients.  ``backward``
 replays the closures in reverse creation order, which is a valid
 topological order because operands always exist before the op that
-consumes them.
+consumes them.  Only leaves (tensors no op produced, such as parameters)
+receive a ``.grad``; an intermediate's gradient lives only until its own
+backward closure has consumed it.
 """
 
 from __future__ import annotations
@@ -222,15 +224,21 @@ def concat_last_dim(parts):
 
 
 def narrow(a, axis, start, stop):
-    """Slice ``a`` along one axis; the backward scatters into zeros."""
+    """Slice ``a`` along one axis; the backward scatters into zeros, or
+    passes ``g`` through (in C order) when the slice spans the whole axis."""
     dim = a.shape[axis]
     if not (0 <= start < stop <= dim):
         raise ShapeError(f"narrow: [{start}:{stop}] out of range for axis {axis} of {a.shape}")
     idx = [slice(None)] * a.data.ndim
     idx[axis] = slice(start, stop)
     idx = tuple(idx)
+    whole = stop - start == dim
 
     def bwd(g):
+        if whole:
+            # numpy's matmul rounds differently on a strided operand, so
+            # keep the C layout the scatter below would have given
+            return (np.ascontiguousarray(g),)
         z = np.zeros_like(a.data)
         z[idx] = g
         return (z,)
@@ -350,10 +358,15 @@ def sqrt(a):
 
 
 def backward(root):
-    """Populate ``grad`` on every requires_grad tensor reachable from ``root``.
+    """Accumulate d(root)/d(leaf) into ``grad`` of every requires_grad leaf
+    reachable from ``root``.
 
-    Gradients accumulate additively, both across fan-out within one call
-    and across repeated calls; use ``zero_grads`` between steps.
+    A leaf is a tensor no op produced (it has no backward closure).
+    Intermediates never get a ``grad``: each one's gradient is dropped as
+    soon as its closure has consumed it.  Gradients accumulate additively,
+    both across fan-out within one call and across repeated calls; use
+    ``zero_grads`` between steps.  The graph itself is left intact, so a
+    second call on the same root adds the same gradients again.
     """
     if root.data.size != 1:
         raise ValueError(f"backward: root must be scalar, got shape {root.shape}")
@@ -371,24 +384,23 @@ def backward(root):
         i += 1
     nodes.sort(key=lambda t: t._id, reverse=True)
 
+    # Every consumer of a tensor was created after it, so by the time a
+    # tensor comes up in this order its flow is complete.
     flow = {id(root): np.ones_like(root.data)}
     for t in nodes:
-        g = flow.get(id(t))
-        if g is None or t._bwd is None:
+        g = flow.pop(id(t), None)
+        if g is None:
+            continue
+        if t._bwd is None:
+            if t.grad is None:
+                t.grad = np.zeros_like(t.data)
+            t.grad += g
             continue
         for p, pg in zip(t._parents, t._bwd(g)):
             if pg is None or not p.requires_grad:
                 continue
             held = flow.get(id(p))
             flow[id(p)] = pg if held is None else held + pg
-
-    for t in nodes:
-        g = flow.get(id(t))
-        if g is None:
-            continue
-        if t.grad is None:
-            t.grad = np.zeros_like(t.data)
-        t.grad += g
 
 
 def zero_grads(tensors):

@@ -79,9 +79,21 @@ class AdamW:
             elif not np.isfinite(g).all():
                 raise DivergenceError(f"non-finite gradient in parameter {name!r}")
             p.data *= 1.0 - lr_t * self.cfg.weight_decay
-            m = self._m[name] = b1 * self._m[name] + (1.0 - b1) * g
-            v = self._v[name] = b2 * self._v[name] + (1.0 - b2) * g * g
-            p.data -= lr_t * (m / bias1) / (np.sqrt(v / bias2) + self.cfg.adam_eps)
+            # In place, with the rounding of m = b1*m + (1-b1)*g, v likewise,
+            # and p -= lr_t * (m/bias1) / (sqrt(v/bias2) + eps): fresh arrays
+            # cost page faults that outweigh the arithmetic.
+            m, v = self._m[name], self._v[name]
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * g * g
+            denom = v / bias2
+            np.sqrt(denom, out=denom)
+            denom += self.cfg.adam_eps
+            update = m / bias1
+            update *= lr_t
+            update /= denom
+            p.data -= update
 
 
 def mse_loss(forecast, target):
@@ -101,6 +113,22 @@ def evaluate(model, batches, revin=False):
     if count == 0:
         raise ValueError("evaluate: empty window stream")
     return float(abs_sum / count), float(sq_sum / count)
+
+
+def _train_step(model, batch, optimizer, lr_t, revin):
+    """Forward, loss, backward and update on one batch; returns the loss.
+
+    A non-finite loss is returned without updating anything.  The step's
+    graph is referenced only from here, so it is freed on return, before
+    the next step's forward builds a new one.
+    """
+    optimizer.zero_grads()
+    loss = mse_loss(model.forward(batch, revin=revin), batch.target_future)
+    value = loss.item()
+    if math.isfinite(value):
+        backward(loss)
+        optimizer.step(lr_t)
+    return value
 
 
 def _epoch_permutation(seed, epoch, n):
@@ -148,14 +176,10 @@ def train(model, dataset, cfg):
             chunk = train_starts[order[i:i + cfg.batch_size]]
             ctx, fut = gather_windows(dataset.values, chunk, l_ctx, h_pred, dataset.target)
             batch = WindowBatch(ctx, fut, dataset.target, tuple(contexts))
-            optimizer.zero_grads()
-            loss = mse_loss(model.forward(batch, revin=cfg.revin), batch.target_future)
-            value = loss.item()
+            value = _train_step(model, batch, optimizer, lr_t, cfg.revin)
             if not math.isfinite(value):
                 raise DivergenceError(
                     f"non-finite training loss at epoch {epoch}, batch {i // cfg.batch_size}")
-            backward(loss)
-            optimizer.step(lr_t)
             sq_sum += value * fut.size
             count += fut.size
         train_losses.append(sq_sum / count)

@@ -5,10 +5,12 @@ emitted files, and captured output; no subprocesses.
 """
 
 import csv
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from cgpt import cli
 from cgpt.checkpoint import save_checkpoint
 from cgpt.cli import main, report_rows
 from cgpt.datasets import generate_additive, load_csv, SyntheticConfig
@@ -115,6 +117,25 @@ def test_train_refuses_existing_outputs(tmp_path, capsys):
     assert main(train_argv(tmp_path)) == 2
     assert "--overwrite" in capsys.readouterr().err
     assert main(train_argv(tmp_path, extra=("--overwrite",))) == 0
+
+
+def test_train_rerun_after_failed_record_write(tmp_path, monkeypatch, capsys):
+    real_replace = cli.os.replace
+
+    def replace_failing_for_records(src, dst):
+        if Path(dst).name.startswith("result_"):
+            raise OSError("disk full")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(cli.os, "replace", replace_failing_for_records)
+    assert main(train_argv(tmp_path)) == 2
+    assert "disk full" in capsys.readouterr().err
+    seed_dir = tmp_path / "runs" / "additive" / "leaky" / "revin_no" / "seed_0"
+    assert sorted(p.name for p in seed_dir.iterdir()) == ["model_96to1.ckpt"]
+
+    monkeypatch.undo()
+    assert main(train_argv(tmp_path)) == 0  # a checkpoint alone blocks nothing
+    assert sorted(p.name for p in seed_dir.iterdir()) == ["model_96to1.ckpt", "result_96to1.txt"]
 
 
 def test_train_flag_overrides_config_value(tmp_path):
@@ -232,6 +253,15 @@ def test_eval_rejects_header_missing_a_hyperparameter(tmp_path, capsys):
     save_checkpoint(ckpt, header, model.parameters())
     assert main(["eval", "--checkpoint", str(ckpt), "--dataset", "additive"]) == 2
     assert "stride missing" in capsys.readouterr().err
+
+
+def test_eval_header_value_of_wrong_type_names_file_and_key(tmp_path, capsys):
+    model = CgptModel(CgptConfig(EncoderConfig(d_model=16, d_ff=8), 96, 1))
+    header = dict(model.config_header(), d_model="16.0")
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(ckpt, header, model.parameters())
+    assert main(["eval", "--checkpoint", str(ckpt), "--dataset", "additive"]) == 2
+    assert f"{ckpt}: header key d_model: cannot read '16.0' as int" in capsys.readouterr().err
 
 
 def test_eval_config_value_of_wrong_type_is_usage_error(tmp_path, capsys):

@@ -266,3 +266,13 @@ def test_prepare_standardizes_on_train_only():
     assert np.array_equal(stats.mean, manual.mean)
     redo = standardize_dataset(ds.with_borders(ready.borders), stats)
     assert np.array_equal(redo.values, ready.values)
+
+
+@pytest.mark.parametrize("split,row", [("test", 5600), ("val", 4400)])
+def test_prepare_rejects_non_finite_value_in_any_split(split, row):
+    ds = generate_additive(SyntheticConfig(seed=2))
+    values = ds.values.copy()
+    values[row, 1] = np.nan
+    with pytest.raises(ValueError,
+                       match=rf"non-finite value nan in the {split} split, row {row}, column 'C1'"):
+        prepare_dataset(ds.with_values(values), SplitPolicy.RATIO_70_20_10, l_ctx=96, h_pred=1)

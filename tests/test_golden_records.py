@@ -1,0 +1,149 @@
+"""Golden result records: a rounding-level change to any float result fails here.
+
+Five models x revin yes/no are trained for two epochs on a tiny additive
+config, and each ``result_record`` must equal, byte for byte, the text
+recorded when these strings were pinned.  Every loss and metric is written
+with ``repr``, so a change in the last bit of any of them shows.
+
+The strings were recorded with numpy 2.4.6 on OpenBLAS (x86_64).  Another
+BLAS or numpy build may round differently; a change that moves results on
+purpose must regenerate them and say so.
+"""
+
+import pytest
+
+from cgpt.baselines import DLinearModel, MlpBaseline
+from cgpt.datasets import SplitPolicy, SyntheticConfig, generate_additive, prepare_dataset
+from cgpt.layers import EncoderConfig
+from cgpt.model import CgptConfig, CgptModel, Variant
+from cgpt.preprocessing import PatchConfig
+from cgpt.training import TrainConfig, result_record, train
+
+L_CTX, H_PRED = 32, 2
+ENCODER = EncoderConfig(d_model=8, d_ff=16, n_heads=1, e_layers=1,
+                        patch=PatchConfig(8, 8), n_p_max=8)
+
+GOLDEN = {
+    ("leaky", False): (
+        "model=leaky\n"
+        "seed=1\n"
+        "best_epoch=2\n"
+        "epochs_run=2\n"
+        "test_mae=0.9424393380995939\n"
+        "test_mse=1.2765327744846287\n"
+        "train_losses=3.1877624647422618,1.4640160502354247\n"
+        "val_losses=0.8821260406091419,0.6666924639039545\n"
+    ),
+    ("leaky", True): (
+        "model=leaky\n"
+        "seed=1\n"
+        "best_epoch=2\n"
+        "epochs_run=2\n"
+        "test_mae=0.734155112978824\n"
+        "test_mse=0.7934529916221901\n"
+        "train_losses=1.863526088466727,0.892433979488233\n"
+        "val_losses=0.6803601324665907,0.5966887222787343\n"
+    ),
+    ("strict", False): (
+        "model=strict\n"
+        "seed=1\n"
+        "best_epoch=2\n"
+        "epochs_run=2\n"
+        "test_mae=0.786787040395429\n"
+        "test_mse=0.9880150924581784\n"
+        "train_losses=2.19361953086877,1.2922764054266214\n"
+        "val_losses=0.8697429303064153,0.6801053790475559\n"
+    ),
+    ("strict", True): (
+        "model=strict\n"
+        "seed=1\n"
+        "best_epoch=2\n"
+        "epochs_run=2\n"
+        "test_mae=0.7123992815686554\n"
+        "test_mse=0.7801013674668408\n"
+        "train_losses=1.5490056649399158,1.0009196668510245\n"
+        "val_losses=0.6935862159167135,0.6434770605830384\n"
+    ),
+    ("pure", False): (
+        "model=pure\n"
+        "seed=1\n"
+        "best_epoch=2\n"
+        "epochs_run=2\n"
+        "test_mae=0.5687219778815271\n"
+        "test_mse=0.4750483217774809\n"
+        "train_losses=1.2861972901934164,0.9013792764747335\n"
+        "val_losses=0.6127290016983691,0.500751726678639\n"
+    ),
+    ("pure", True): (
+        "model=pure\n"
+        "seed=1\n"
+        "best_epoch=2\n"
+        "epochs_run=2\n"
+        "test_mae=0.7468404891974718\n"
+        "test_mse=0.836052728774697\n"
+        "train_losses=1.0793572574734334,0.9124534884370258\n"
+        "val_losses=0.6526209655939459,0.6453944504289857\n"
+    ),
+    ("dlinear", False): (
+        "model=dlinear\n"
+        "seed=1\n"
+        "best_epoch=2\n"
+        "epochs_run=2\n"
+        "test_mae=0.9145073255185581\n"
+        "test_mse=1.4373729117181069\n"
+        "train_losses=2.425712836300209,1.8295178010619209\n"
+        "val_losses=1.4435724278627073,1.239394433941722\n"
+    ),
+    ("dlinear", True): (
+        "model=dlinear\n"
+        "seed=1\n"
+        "best_epoch=2\n"
+        "epochs_run=2\n"
+        "test_mae=0.8020307870304573\n"
+        "test_mse=0.999229715659653\n"
+        "train_losses=1.3204038034385104,1.053026053244557\n"
+        "val_losses=0.9145688417549477,0.8380342702884579\n"
+    ),
+    ("mlp", False): (
+        "model=mlp\n"
+        "seed=1\n"
+        "best_epoch=2\n"
+        "epochs_run=2\n"
+        "test_mae=0.4516304203070952\n"
+        "test_mse=0.3508132018856296\n"
+        "train_losses=1.2334290263283494,0.6732366163457649\n"
+        "val_losses=0.5915754747870527,0.5066434288472287\n"
+    ),
+    ("mlp", True): (
+        "model=mlp\n"
+        "seed=1\n"
+        "best_epoch=2\n"
+        "epochs_run=2\n"
+        "test_mae=0.7087474890658821\n"
+        "test_mse=0.7882433625930436\n"
+        "train_losses=1.0589324740608743,0.7058550460788443\n"
+        "val_losses=0.6725031799132539,0.593294627392007\n"
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def data():
+    raw = generate_additive(SyntheticConfig(length=600, seed=3))
+    prepared, _ = prepare_dataset(raw, SplitPolicy.RATIO_70_20_10, L_CTX, H_PRED)
+    return prepared
+
+
+def build(name):
+    if name == "dlinear":
+        return DLinearModel(L_CTX, H_PRED, kernel=5, seed=1)
+    if name == "mlp":
+        return MlpBaseline(L_CTX, H_PRED, n_vars=4, hidden=16, seed=1)
+    return CgptModel(CgptConfig(ENCODER, L_CTX, H_PRED, Variant.from_id(name)), seed=1)
+
+
+@pytest.mark.parametrize("name,revin", list(GOLDEN))
+def test_result_record_matches_golden_text(data, name, revin):
+    cfg = TrainConfig(lr=3e-3, batch_size=64, max_epochs=2, patience=2, revin=revin, seed=1)
+    record = result_record(train(build(name), data, cfg), {"model": name})
+    assert record == GOLDEN[name, revin]

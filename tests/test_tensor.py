@@ -156,6 +156,34 @@ def test_narrow_grad_scatters_into_zeros():
     assert np.array_equal(x.grad, [0.0, 1.0, 1.0, 0.0, 0.0])
 
 
+def test_narrow_over_whole_axis_passes_gradient_through():
+    x = Tensor(np.zeros((2, 3)), requires_grad=True)
+    whole = narrow(x, -1, 0, 3)
+    g = np.arange(6.0).reshape(2, 3)
+    assert whole._bwd(g)[0] is g
+    # a strided view comes back as a C-contiguous copy, as the scatter
+    # into zeros would give, so matmul backward sees the same layout
+    strided = np.arange(6.0).reshape(3, 2).T
+    (out,) = whole._bwd(strided)
+    assert np.array_equal(out, strided) and out.flags.c_contiguous
+
+
+def test_backward_writes_grad_on_leaves_only():
+    x = Tensor([0.5, -1.0, 2.0], requires_grad=True)
+    w = Tensor([1.5, 0.25, -3.0], requires_grad=True)
+    b = Tensor([0.75], requires_grad=True)
+    h = T.mul(x, w)
+    y = h + b
+    sq = T.square(y)
+    backward(sum_axis(sq))
+    assert h.grad is None and y.grad is None and sq.grad is None
+    # the same arithmetic the closures perform: d sum(y^2) = 2y, then mul/add
+    dy = 2.0 * y.data
+    assert np.array_equal(x.grad, dy * w.data)
+    assert np.array_equal(w.grad, dy * x.data)
+    assert np.array_equal(b.grad, dy.sum(keepdims=True))
+
+
 def test_concat_has_no_cross_talk():
     a = Tensor([1.0, 2.0], requires_grad=True)
     b = Tensor([3.0], requires_grad=True)

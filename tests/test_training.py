@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -118,6 +120,31 @@ def test_adamw_matches_reference_trajectory():
         assert np.abs(p.data - ref).max() < 1e-10, t
 
 
+def test_adamw_in_place_step_is_byte_identical_to_out_of_place_formula():
+    cfg = TrainConfig(weight_decay=0.05)
+    rng = np.random.default_rng(4)
+    shapes = {"w": (3, 4), "b": (4,)}
+    params = {k: Tensor(rng.standard_normal(s), requires_grad=True) for k, s in shapes.items()}
+    opt = AdamW(params, cfg)
+    ref = {k: p.data.copy() for k, p in params.items()}
+    m = {k: np.zeros(s) for k, s in shapes.items()}
+    v = {k: np.zeros(s) for k, s in shapes.items()}
+    b1, b2 = cfg.betas
+    for t in range(1, 8):
+        lr_t = 1e-2 / t
+        for k, p in params.items():
+            g = rng.standard_normal(shapes[k])
+            p.grad = g
+            ref[k] = ref[k] * (1.0 - lr_t * cfg.weight_decay)
+            m[k] = b1 * m[k] + (1.0 - b1) * g
+            v[k] = b2 * v[k] + (1.0 - b2) * g * g
+            ref[k] = ref[k] - lr_t * (m[k] / (1.0 - b1 ** t)) / (
+                np.sqrt(v[k] / (1.0 - b2 ** t)) + cfg.adam_eps)
+        opt.step(lr_t)
+        for k, p in params.items():
+            assert p.data.tobytes() == ref[k].tobytes(), (k, t)
+
+
 def test_adamw_rejects_non_finite_grad():
     p = Tensor(np.array([1.0]), requires_grad=True)
     opt = AdamW({"theta": p}, TrainConfig())
@@ -216,6 +243,28 @@ def test_training_is_bit_deterministic():
     assert (a.test_mae, a.test_mse) == (b.test_mae, b.test_mse)
     meta = {"dataset": "additive", "model": "leaky"}
     assert result_record(a, meta) == result_record(b, meta)
+
+
+def test_each_step_graph_is_freed_before_the_next_forward():
+    """Every forecast (and the graph hanging off it) is gone by the time the
+    next forward starts; reference counting alone must free it."""
+    model = tiny_cgpt()
+    forward = model.forward
+    forecasts = []
+
+    def watched(batch, revin=False):
+        assert all(ref() is None for ref in forecasts), f"forward {len(forecasts)}"
+        out = forward(batch, revin=revin)
+        forecasts.append(weakref.ref(out))
+        return out
+
+    model.forward = watched
+    gc.disable()
+    try:
+        train(model, small_additive(), TrainConfig(batch_size=64, max_epochs=1))
+    finally:
+        gc.enable()
+    assert len(forecasts) > 3
 
 
 def test_divergent_run_aborts_with_location():
