@@ -12,8 +12,9 @@ always produce identical bytes.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
-from pathlib import Path
 
 import numpy as np
 
@@ -31,54 +32,91 @@ def header_value(header, key, convert):
 
 
 def save_checkpoint(path, config, params):
-    """Write a config header plus named float64 arrays to ``path``."""
+    """Write a config header plus named float64 arrays to ``path``.
+
+    The header and the entries go to the file one at a time, each array
+    from its own buffer, so saving holds no copy of the parameters.  A
+    failed save can leave a partial file; write to a temporary name and
+    move it into place where that matters.
+    """
     header = "".join(f"{k}={v}\n" for k, v in config.items()).encode("utf-8")
-    chunks = [_U32.pack(len(header)), header, _U32.pack(len(params))]
-    for name in sorted(params):
-        arr = params[name]
-        arr = np.ascontiguousarray(getattr(arr, "data", arr), dtype="<f8")
-        encoded = name.encode("utf-8")
-        chunks.append(_U32.pack(len(encoded)))
-        chunks.append(encoded)
-        chunks.append(_U32.pack(arr.ndim))
-        chunks.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        chunks.append(arr.tobytes())
-    Path(path).write_bytes(b"".join(chunks))
+    with open(path, "wb") as fh:
+        fh.write(_U32.pack(len(header)) + header + _U32.pack(len(params)))
+        for name in sorted(params):
+            arr = params[name]
+            arr = np.require(getattr(arr, "data", arr), dtype="<f8", requirements="C")
+            encoded = name.encode("utf-8")
+            fh.write(struct.pack(f"<I{len(encoded)}sI{arr.ndim}I",
+                                 len(encoded), encoded, arr.ndim, *arr.shape))
+            fh.write(arr)
 
 
 def load_checkpoint(path):
-    """Read back (config: dict of strings, params: dict of float64 arrays)."""
-    blob = Path(path).read_bytes()
-    view = memoryview(blob)
-    offset = 0
+    """Read back (config: dict of strings, params: dict of float64 arrays).
 
-    def take(n):
-        nonlocal offset
-        if offset + n > len(view):
-            raise ValueError(f"{path}: truncated checkpoint at byte {offset}")
-        piece = view[offset:offset + n]
-        offset += n
-        return piece
+    Each entry is read straight into its own array.  Every declared size is
+    checked against the bytes left in the file before anything is read or
+    allocated, and an entry holding a non-finite value is rejected.  Every
+    defect raises a ValueError that names the file.
+    """
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        offset = 0
 
-    def take_u32():
-        return _U32.unpack(take(4))[0]
+        def truncated():
+            return ValueError(f"{path}: truncated checkpoint at byte {offset}")
 
-    header = bytes(take(take_u32())).decode("utf-8")
-    config = {}
-    for line in header.splitlines():
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise ValueError(f"{path}: malformed header line {line!r}")
-        config[key] = value
+        def need(n):
+            if n > size - offset:
+                raise truncated()
 
-    params = {}
-    for _ in range(take_u32()):
-        name = bytes(take(take_u32())).decode("utf-8")
-        rank = take_u32()
-        shape = struct.unpack(f"<{rank}I", take(4 * rank))
-        count = int(np.prod(shape, dtype=np.int64)) if rank else 1
-        data = np.frombuffer(take(8 * count), dtype="<f8").reshape(shape)
-        params[name] = data.astype(np.float64)
-    if offset != len(view):
-        raise ValueError(f"{path}: {len(view) - offset} trailing bytes after last entry")
+        def take(n):
+            nonlocal offset
+            need(n)
+            piece = fh.read(n)
+            if len(piece) != n:  # the file shrank while being read
+                raise truncated()
+            offset += n
+            return piece
+
+        def take_u32():
+            return _U32.unpack(take(4))[0]
+
+        def take_text(what):
+            start = offset + 4
+            try:
+                return take(take_u32()).decode("utf-8")
+            except UnicodeDecodeError:
+                raise ValueError(f"{path}: {what} at byte {start} is not utf-8") from None
+
+        header = take_text("header")
+        config = {}
+        for line in header.splitlines():
+            key, sep, value = line.partition("=")
+            if not sep:
+                raise ValueError(f"{path}: malformed header line {line!r}")
+            config[key] = value
+
+        params = {}
+        for _ in range(take_u32()):
+            name = take_text("entry name")
+            rank = take_u32()
+            shape = struct.unpack(f"<{rank}I", take(4 * rank))
+            count = math.prod(shape)
+            need(8 * count)
+            data = np.empty(count, dtype="<f8")
+            if fh.readinto(data) != 8 * count:
+                raise truncated()
+            offset += 8 * count
+            # min and max carry any nan or inf out without a temporary array
+            if count and not (np.isfinite(data.min()) and np.isfinite(data.max())):
+                index = int(np.argmin(np.isfinite(data)))
+                raise ValueError(f"{path}: entry {name!r} holds non-finite value "
+                                 f"{float(data[index])!r} at flat index {index}")
+            try:
+                params[name] = data.reshape(shape)
+            except ValueError as err:  # a zero-size shape whose other dims overflow
+                raise ValueError(f"{path}: entry {name!r} has shape {shape}: {err}") from None
+        if offset != size:
+            raise ValueError(f"{path}: {size - offset} trailing bytes after last entry")
     return config, params

@@ -81,7 +81,9 @@ def init_encoder_params(cfg, rng):
 
 
 def load_param_arrays(params, arrays):
-    """Copy named numpy arrays into an existing parameter dict, strictly."""
+    """Copy named numpy arrays into an existing parameter dict, strictly.
+
+    Each array is copied once, into the parameter's own array."""
     if set(params) != set(arrays):
         missing = sorted(set(params) - set(arrays))
         extra = sorted(set(arrays) - set(params))
@@ -90,7 +92,7 @@ def load_param_arrays(params, arrays):
         if tensor.data.shape != arrays[name].shape:
             raise ValueError(
                 f"{name}: shape {arrays[name].shape} does not match {tensor.data.shape}")
-        tensor.data = arrays[name].astype(np.float64).copy()
+        np.copyto(tensor.data, arrays[name])
 
 
 def embed_patches(patches, params, cfg):

@@ -1,9 +1,15 @@
 import struct
+import tracemalloc
 
+import hypothesis.extra.numpy as hnp
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
 
+from cgpt.baselines import MlpBaseline
 from cgpt.checkpoint import load_checkpoint, save_checkpoint
+from cgpt.cli import model_from_checkpoint
 from cgpt.model import CgptConfig, CgptModel, cgpt_forward
 from cgpt.layers import EncoderConfig
 from cgpt.preprocessing import PatchConfig, WindowBatch
@@ -90,3 +96,173 @@ def test_model_roundtrips_through_checkpoint(tmp_path):
     rng = np.random.default_rng(2)
     batch = WindowBatch(rng.standard_normal((3, 16, 4)), rng.standard_normal((3, 2)), 3, (0, 1))
     assert np.array_equal(cgpt_forward(batch, src).data, cgpt_forward(batch, dst).data)
+
+
+# ----------------------------------------------------- properties of the format
+
+def joined_blob(config, params):
+    """Reference writer: the whole file built as one bytes object, as the
+    format was first written (except that a 0-d array keeps rank 0)."""
+    header = "".join(f"{k}={v}\n" for k, v in config.items()).encode("utf-8")
+    chunks = [struct.pack("<I", len(header)), header, struct.pack("<I", len(params))]
+    for name in sorted(params):
+        arr = np.require(params[name], dtype="<f8", requirements="C")
+        encoded = name.encode("utf-8")
+        chunks += [struct.pack("<I", len(encoded)), encoded, struct.pack("<I", arr.ndim),
+                   struct.pack(f"<{arr.ndim}I", *arr.shape), arr.tobytes()]
+    return b"".join(chunks)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+entry = hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4),
+                   elements=finite)
+# any unicode name the utf-8 codec can write (no lone surrogates)
+names = st.text(st.characters(exclude_categories=("Cs",)), max_size=12)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(params=st.dictionaries(names, entry, max_size=4))
+def test_roundtrip_over_random_names_and_shapes(tmp_path, params):
+    p = tmp_path / "prop.ckpt"
+    config = {"kind": "t", "n": 3}
+    save_checkpoint(p, config, params)
+    assert p.read_bytes() == joined_blob(config, params)
+    got_config, got = load_checkpoint(p)
+    assert got_config == {"kind": "t", "n": "3"}
+    assert set(got) == set(params)
+    for name, arr in params.items():
+        assert got[name].dtype == np.float64
+        assert got[name].shape == arr.shape
+        assert got[name].tobytes() == arr.tobytes(), name
+
+
+def test_zero_dim_entry_keeps_rank_0(tmp_path):
+    p = tmp_path / "scalar.ckpt"
+    save_checkpoint(p, {}, {"s": np.array(2.5)})
+    assert p.read_bytes()[-12:] == struct.pack("<I", 0) + struct.pack("<d", 2.5)
+    assert load_checkpoint(p)[1]["s"].shape == ()
+
+
+def corpus_checkpoint(tmp_path):
+    """A small checkpoint with entries of rank 0 to 3, a zero-size one and
+    non-ASCII names."""
+    params = {"scalar": np.array(2.5), "vec": np.array([1.0, -2.0, 3.5]),
+              "maté": np.arange(6.0).reshape(2, 3), "cube": np.ones((2, 1, 2)),
+              "empty中": np.zeros((0, 3))}
+    p = tmp_path / "corpus.ckpt"
+    save_checkpoint(p, {"kind": "t", "d_model": 8}, params)
+    return p.read_bytes()
+
+
+def load_blob(tmp_path, blob):
+    p = tmp_path / "damaged.ckpt"
+    p.write_bytes(blob)
+    return load_checkpoint(p)
+
+
+def test_truncation_at_every_offset_raises_value_error(tmp_path):
+    blob = corpus_checkpoint(tmp_path)
+    for cut in range(len(blob)):
+        with pytest.raises(ValueError, match="truncated|malformed"):
+            load_blob(tmp_path, blob[:cut])
+
+
+def test_every_single_bit_flip_loads_or_raises_value_error(tmp_path):
+    blob = corpus_checkpoint(tmp_path)
+    outcomes = {"loaded": 0, "rejected": 0}
+    for bit in range(8 * len(blob)):
+        damaged = bytearray(blob)
+        damaged[bit // 8] ^= 1 << (bit % 8)
+        try:
+            load_blob(tmp_path, bytes(damaged))
+            outcomes["loaded"] += 1
+        except ValueError as err:  # any other exception type fails the test
+            assert "damaged.ckpt" in str(err)
+            outcomes["rejected"] += 1
+    assert outcomes["loaded"] and outcomes["rejected"]
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_random_byte_damage_loads_or_raises_value_error(tmp_path, data):
+    blob = bytearray(corpus_checkpoint(tmp_path))
+    for _ in range(data.draw(st.integers(1, 6))):
+        blob[data.draw(st.integers(0, len(blob) - 1))] = data.draw(st.integers(0, 255))
+    try:
+        load_blob(tmp_path, bytes(blob))
+    except ValueError:
+        pass
+
+
+@pytest.mark.parametrize("word", ["rank", "dim"])
+def test_huge_declared_size_fails_before_allocating(tmp_path, word):
+    p = tmp_path / "model.ckpt"
+    save_checkpoint(p, {"kind": "t"}, {"w": np.ones((3, 4))})
+    blob = bytearray(p.read_bytes())
+    rank_at = 4 + len(b"kind=t\n") + 4 + 4 + len(b"w")
+    assert struct.unpack_from("<I", blob, rank_at)[0] == 2
+    struct.pack_into("<I", blob, rank_at if word == "rank" else rank_at + 4, 2**31)
+    p.write_bytes(bytes(blob))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="truncated checkpoint"):
+            load_checkpoint(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+
+
+def test_non_finite_entry_is_rejected_naming_file_and_entry(tmp_path):
+    p = tmp_path / "model.ckpt"
+    for bad in (np.nan, np.inf, -np.inf):
+        w = np.ones((2, 3))
+        w[1, 2] = bad
+        save_checkpoint(p, {"kind": "t"}, {"b": np.zeros(2), "w": w})
+        with pytest.raises(ValueError, match=rf"{p}: entry 'w' holds non-finite value "
+                                             rf"{bad!r} at flat index 5"):
+            load_checkpoint(p)
+
+
+# ------------------------------------------------------------ memory per copy
+
+def traced_peak(fn):
+    """(result, peak bytes traced while ``fn`` ran)."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture
+def mlp_checkpoint(tmp_path):
+    """An mlp checkpoint (about 3.5 MB of weights) and its parameter bytes."""
+    model = MlpBaseline(96, 1, 4)
+    p = tmp_path / "mlp.ckpt"
+    save_checkpoint(p, model.config_header(), model.parameters())
+    return p, sum(t.data.nbytes for t in model.parameters().values())
+
+
+def test_save_holds_no_copy_of_the_parameters(tmp_path):
+    model = MlpBaseline(96, 1, 4)
+    params = model.parameters()
+    nbytes = sum(t.data.nbytes for t in params.values())
+    _, peak = traced_peak(lambda: save_checkpoint(tmp_path / "m.ckpt", model.config_header(),
+                                                  params))
+    assert peak <= 0.1 * nbytes
+    expected = joined_blob(model.config_header(), {k: t.data for k, t in params.items()})
+    assert (tmp_path / "m.ckpt").read_bytes() == expected
+
+
+def test_load_holds_one_copy_of_the_parameters(mlp_checkpoint):
+    path, nbytes = mlp_checkpoint
+    _, peak = traced_peak(lambda: load_checkpoint(path))
+    assert peak <= 1.1 * nbytes
+
+
+def test_load_and_rebuild_hold_two_copies_of_the_parameters(mlp_checkpoint):
+    path, nbytes = mlp_checkpoint
+    model, peak = traced_peak(lambda: model_from_checkpoint(*load_checkpoint(path)))
+    assert peak <= 2.2 * nbytes
+    assert isinstance(model, MlpBaseline)

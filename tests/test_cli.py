@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from cgpt import cli
+from cgpt.baselines import DLinearModel
 from cgpt.checkpoint import save_checkpoint
 from cgpt.cli import main, report_rows
 from cgpt.datasets import generate_additive, load_csv, SyntheticConfig
@@ -262,6 +263,17 @@ def test_eval_header_value_of_wrong_type_names_file_and_key(tmp_path, capsys):
     save_checkpoint(ckpt, header, model.parameters())
     assert main(["eval", "--checkpoint", str(ckpt), "--dataset", "additive"]) == 2
     assert f"{ckpt}: header key d_model: cannot read '16.0' as int" in capsys.readouterr().err
+
+
+def test_eval_rejects_checkpoint_with_non_finite_weight(tmp_path, capsys):
+    model = DLinearModel(96, 1)
+    model.params["trend.b"].data[0] = np.nan
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(ckpt, model.config_header(), model.parameters())
+    assert main(["eval", "--checkpoint", str(ckpt), "--dataset", "additive"]) == 2
+    captured = capsys.readouterr()
+    assert "test_mae" not in captured.out
+    assert f"{ckpt}: entry 'trend.b' holds non-finite value nan" in captured.err
 
 
 def test_eval_config_value_of_wrong_type_is_usage_error(tmp_path, capsys):

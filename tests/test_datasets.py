@@ -1,6 +1,11 @@
+import tracemalloc
+
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
 
+from cgpt.cli import main
 from cgpt.datasets import (
     BURN_IN,
     ChannelRole,
@@ -212,6 +217,152 @@ def test_load_csv_schema_roles(tmp_path):
     with pytest.raises(ValueError, match="drops the target"):
         load_csv(p, target="OT", schema={"OT": "drop"})
 
+
+# Parity corpus: the loader's result on each file, recorded from the
+# row-by-row float() loader it replaced.  Accepted files give (channel
+# names, values); rejected ones give the message, with {path} for the file.
+CSV_ACCEPTED = [
+    ('quoted', 'a,OT\n"1.5","2"\n3,"4.25"\n', 'OT', None,
+     ('a', 'OT'), [[1.5, 2.0], [3.0, 4.25]]),
+    ('crlf', 'a,OT\r\n1,2\r\n3,4\r\n', 'OT', None,
+     ('a', 'OT'), [[1.0, 2.0], [3.0, 4.0]]),
+    ('lone_cr', 'a,OT\r1,2\r3,4\r', 'OT', None,
+     ('a', 'OT'), [[1.0, 2.0], [3.0, 4.0]]),
+    ('no_trailing_newline', 'a,OT\n1,2\n3,4', 'OT', None,
+     ('a', 'OT'), [[1.0, 2.0], [3.0, 4.0]]),
+    ('space_padded', 'a,OT\n 1.5 , 2\n3 ,\t4 \n', 'OT', None,
+     ('a', 'OT'), [[1.5, 2.0], [3.0, 4.0]]),
+    ('etth1_date_dropped', 'date,HUFL,HULL,OT\n2016-07-01 00:00:00,5.827000141143799,2.009000062942505,30.5310001373291\n2016-07-01 01:00:00,5.692999839782715,2.075999975204468,27.78700065612793\n2016-07-01 02:00:00,5.1570000648498535,1.741000056266785,27.78700065612793\n', 'OT', None,
+     ('HUFL', 'HULL', 'OT'), [[5.827000141143799, 2.009000062942505, 30.5310001373291], [5.692999839782715, 2.075999975204468, 27.78700065612793], [5.1570000648498535, 1.741000056266785, 27.78700065612793]]),
+    ('schema_dropped', 'ts,u1,OT\nmonday,1,2\ntuesday,3,4\n', 'OT', {'ts': 'drop'},
+     ('u1', 'OT'), [[1.0, 2.0], [3.0, 4.0]]),
+    ('quoted_comma_in_dropped', 'date,a,OT\n"2020, Jan",1,2\n"2020, Feb",3,4\n', 'OT', None,
+     ('a', 'OT'), [[1.0, 2.0], [3.0, 4.0]]),
+    ('single_row', 'a,OT\n1,2\n', 'OT', None,
+     ('a', 'OT'), [[1.0, 2.0]]),
+    ('single_column', 'OT\n1\n2\n3\n', 'OT', None,
+     ('OT',), [[1.0], [2.0], [3.0]]),
+    ('signs_exponents', 'a,OT\n+1e-3,-2.5E+2\n.5,1.\n', 'OT', None,
+     ('a', 'OT'), [[0.001, -250.0], [0.5, 1.0]]),
+    ('repr_floats', 'x,y\n0.1,-1.2345678901234567e-300\n1.7976931348623157e+308,5e-324\n', 'y', None,
+     ('x', 'y'), [[0.1, -1.2345678901234568e-300], [1.7976931348623157e+308, 5e-324]]),
+    ('empty_cell_dropped', 'date,a,OT\n,1,2\n,3,4\n', 'OT', None,
+     ('a', 'OT'), [[1.0, 2.0], [3.0, 4.0]]),
+    ('quoted_newline_in_dropped', 'date,a,OT\n"2020\nJan",1,2\n"x",3,4\n', 'OT', None,
+     ('a', 'OT'), [[1.0, 2.0], [3.0, 4.0]]),
+    ('quoted_newline_header', '"da\nte",a,OT\n1,1,2\n', 'OT', {'da\nte': 'drop'},
+     ('a', 'OT'), [[1.0, 2.0]]),
+    ('nbsp', 'a,OT\n1.5\xa0,2\n3,4\n', 'OT', None,
+     ('a', 'OT'), [[1.5, 2.0], [3.0, 4.0]]),
+]
+
+CSV_REJECTED = [
+    ('non_finite', 'a,OT\n1,2\nnan,1\n4,inf\n5,Infinity\n-inf,3\nNaN,-Infinity\n', 'OT', None,
+     "{path}: rejected 5 rows: line 3: non-finite value in column 'a'; line 4: non-finite value in column 'OT'; line 5: non-finite value in column 'OT'; line 6: non-finite value in column 'a'; line 7: non-finite value in column 'a'"),
+    ('blank_line_mid', 'a,OT\n1,2\n\n3,4\n', 'OT', None,
+     '{path}: rejected 1 rows: line 3: expected 2 fields, got 0'),
+    ('blank_line_end', 'a,OT\n1,2\n3,4\n\n', 'OT', None,
+     '{path}: rejected 1 rows: line 4: expected 2 fields, got 0'),
+    ('whitespace_line', 'a,OT\n1,2\n   \n3,4\n', 'OT', None,
+     '{path}: rejected 1 rows: line 3: expected 2 fields, got 1'),
+    ('whitespace_line_single_column', 'OT\n1\n  \n2\n', 'OT', None,
+     "{path}: rejected 1 rows: line 3: non-numeric value in column 'OT'"),
+    ('blank_line_single_column', 'OT\n1\n\n2\n', 'OT', None,
+     '{path}: rejected 1 rows: line 3: expected 1 fields, got 0'),
+    ('extra_field', 'a,OT\n1,2\n3,4,5\n6,7\n', 'OT', None,
+     '{path}: rejected 1 rows: line 3: expected 2 fields, got 3'),
+    ('missing_field', 'a,OT\n1,2\n3\n6,7\n', 'OT', None,
+     '{path}: rejected 1 rows: line 3: expected 2 fields, got 1'),
+    ('trailing_comma_every_row', 'a,OT\n1,2,\n3,4,\n', 'OT', None,
+     '{path}: rejected 2 rows: line 2: expected 2 fields, got 3; line 3: expected 2 fields, got 3'),
+    ('empty_cell_kept', 'a,OT\n1,\n3,4\n', 'OT', None,
+     "{path}: rejected 1 rows: line 2: non-numeric value in column 'OT'"),
+    ('non_numeric', 'a,OT\n1,2\nx,4\n', 'OT', None,
+     "{path}: rejected 1 rows: line 3: non-numeric value in column 'a'"),
+    ('non_numeric_and_non_finite', 'a,OT\n1,2\nx,2\n3,y\nnan,1\n4,inf\n', 'OT', None,
+     "{path}: rejected 4 rows: line 3: non-numeric value in column 'a'; line 4: non-numeric value in column 'OT'; line 5: non-finite value in column 'a'; line 6: non-finite value in column 'OT'"),
+    ('ragged_and_non_finite', 'a,OT\n1,2\nnan,1\n3\n', 'OT', None,
+     "{path}: rejected 2 rows: line 3: non-finite value in column 'a'; line 4: expected 2 fields, got 1"),
+    ('header_only', 'a,OT\n', 'OT', None,
+     '{path}: empty dataset (header only)'),
+    ('empty_file', '', 'OT', None,
+     '{path}: empty dataset (no header row)'),
+    ('more_than_ten_bad', 'a,OT\n1,2\nx0,1\nx1,1\nx2,1\nx3,1\nx4,1\nx5,1\nx6,1\nx7,1\nnan,1\n3,4,5\n\n7,8\n2,inf\n9,\n', 'OT', None,
+     "{path}: rejected 13 rows: line 3: non-numeric value in column 'a'; line 4: non-numeric value in column 'a'; line 5: non-numeric value in column 'a'; line 6: non-numeric value in column 'a'; line 7: non-numeric value in column 'a'; line 8: non-numeric value in column 'a'; line 9: non-numeric value in column 'a'; line 10: non-numeric value in column 'a'; line 11: non-finite value in column 'a'; line 12: expected 2 fields, got 3 (+3 more)"),
+    ('quoted_newline_then_nan', 'date,a,OT\n"2020\nJan",1,2\n"x",3,nan\n', 'OT', None,
+     "{path}: rejected 1 rows: line 3: non-finite value in column 'OT'"),
+]
+
+def write_case(tmp_path, text):
+    p = tmp_path / "case.csv"
+    p.write_bytes(text.encode("utf-8"))
+    return p
+
+
+@pytest.mark.parametrize("text, target, schema, names, values",
+                         [case[1:] for case in CSV_ACCEPTED], ids=[case[0] for case in CSV_ACCEPTED])
+def test_load_csv_parity_accepted(tmp_path, text, target, schema, names, values):
+    ds = load_csv(write_case(tmp_path, text), target=target, schema=schema)
+    expected = np.array(values, dtype=np.float64)
+    assert ds.channel_names == names
+    assert ds.values.dtype == np.float64 and ds.values.shape == expected.shape
+    assert ds.values.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("text, target, schema, message",
+                         [case[1:] for case in CSV_REJECTED], ids=[case[0] for case in CSV_REJECTED])
+def test_load_csv_parity_rejected(tmp_path, text, target, schema, message):
+    p = write_case(tmp_path, text)
+    with pytest.raises(ValueError) as err:
+        load_csv(p, target=target, schema=schema)
+    assert str(err.value) == message.replace("{path}", str(p))
+
+
+@pytest.mark.parametrize("cell", ["1_000", "\u0661\u0662", "\uff11"])
+def test_load_csv_rejects_spellings_only_python_float_reads(tmp_path, cell):
+    """Digit-grouping underscores and non-ASCII digits are not numbers to
+    numpy's reader; the message names the line and column of the cell."""
+    p = write_case(tmp_path, f"a,OT\n1,2\n3,{cell}\n4,5\n")
+    with pytest.raises(ValueError, match=r"rejected 1 rows: line 3: non-numeric value "
+                                         r"in column 'OT'$"):
+        load_csv(p, target="OT")
+
+
+cell_text = st.text(st.sampled_from([*"0123456789.+-eE_ \tnaifty", "\xa0", "\u0661", "\uff11"]),
+                    max_size=8) | st.floats().map(repr)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cell=cell_text)
+def test_load_csv_row_check_agrees_with_numpy_reader(tmp_path, cell):
+    """A cell numpy's reader takes loads as float() reads it; a cell it
+    refuses is named by the row-by-row check that builds the message."""
+    try:
+        ds = load_csv(write_case(tmp_path, f"a,OT\n1,{cell}\n"), target="OT")
+    except ValueError as err:
+        assert "rejected 1 rows: line 2: non-" in str(err)
+        accepted = False
+    else:
+        assert ds.values[0, 1] == float(cell)
+        accepted = True
+    # a ragged third line sends any file down the row-by-row path
+    with pytest.raises(ValueError) as err:
+        load_csv(write_case(tmp_path, f"a,OT\n1,{cell}\n3\n"), target="OT")
+    assert ("line 2:" in str(err.value)) == (not accepted)
+
+
+def test_load_csv_holds_about_one_copy_of_the_values(tmp_path, capsys):
+    p = tmp_path / "gen.csv"
+    assert main(["gen-data", "--dataset", "additive", "--length", "6000", "--out", str(p)]) == 0
+    tracemalloc.start()
+    try:
+        ds = load_csv(p, target="C3")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ds.values.shape == (6000, 4)
+    assert peak <= 2 * ds.values.nbytes
 
 # ---------------------------------------------------------------- splits
 
