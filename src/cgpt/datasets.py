@@ -10,8 +10,8 @@ trap a causally-guided model should ignore.
 from __future__ import annotations
 
 import csv
-import itertools
 import math
+from array import array
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
@@ -180,20 +180,20 @@ def load_csv(path, target, schema=None, name=None):
     "drop"; unmapped columns default to internal state, and a column named
     "date" defaults to dropped.
 
-    Every data row must have the header's field count, and every kept cell
-    must be a finite number.  Values are parsed by numpy's reader, straight
-    into one float64 array.  A file that fails is read again row by row,
-    only to name each bad line.
+    Kept cells are appended to one flat float64 buffer as each row is read,
+    and the dataset's values are a view of that buffer, so the load holds
+    about one copy of the values.
     """
     path = Path(path)
     if not path.exists():
         raise ValueError(f"no such file: {path}")
     schema = dict(schema or {})
-    with open(path) as fh:
+    with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"{path}: empty dataset (no header row)")
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ValueError(f"{path}: empty dataset (no header row)") from None
 
         kept, roles = [], []
         for i, col in enumerate(header):
@@ -216,33 +216,35 @@ def load_csv(path, target, schema=None, name=None):
         if target not in names:
             raise ValueError(f"{path}: target column {target!r} not in columns {names}")
 
-        rows = _count_rows(fh, len(header))
-        failure = None
-        if rows:
-            fh.seek(0)
+        cols = [i for i, _ in kept]
+        buf, problems = array("d"), []
+        for lineno, row in enumerate(reader, start=2):
+            if len(row) != len(header):
+                problems.append((lineno, f"expected {len(header)} fields, got {len(row)}"))
+                continue
             try:
-                values = np.loadtxt(fh, delimiter=",", quotechar='"', comments=None,
-                                    skiprows=reader.line_num, usecols=[i for i, _ in kept],
-                                    ndmin=2)
-            except ValueError as err:
-                failure = err
-            else:
-                if len(values) != rows:
-                    failure = f"numpy's reader found {len(values)} of {rows} rows"
+                buf.extend([float(row[i]) for i in cols])
+            except ValueError:
+                bad = next(col for i, col in kept if not _is_float(row[i]))
+                problems.append((lineno, f"non-numeric value in column {bad!r}"))
 
-    if rows is None or failure is not None:
-        problems = _bad_lines(path, len(header), kept)
-        if not problems:  # numpy's reader and the row-by-row check disagree
-            raise ValueError(f"{path}: cannot parse: {failure}")
-        raise ValueError(_rejection(path, problems))
-    if not rows:
-        raise ValueError(f"{path}: empty dataset (header only)")
+    values = np.frombuffer(buf, dtype=np.float64).reshape(-1, len(kept))
+    rows = len(values)
     bad_rows = np.flatnonzero(~np.isfinite(values).all(axis=1))
     if bad_rows.size:
-        raise ValueError(_rejection(path, [
-            (int(r) + 2, "non-finite value in column "
-                         f"{names[np.argmin(np.isfinite(values[r]))]!r}")
-            for r in bad_rows]))
+        # line numbers of the parsed rows: every data line not already rejected
+        skipped = [lineno for lineno, _ in problems]
+        linenos = np.setdiff1d(np.arange(2, 2 + rows + len(skipped)), skipped)
+        for r in bad_rows:
+            bad = names[np.argmin(np.isfinite(values[r]))]
+            problems.append((int(linenos[r]), f"non-finite value in column {bad!r}"))
+    if problems:
+        problems.sort()
+        shown = "; ".join(f"line {lineno}: {what}" for lineno, what in problems[:10])
+        more = f" (+{len(problems) - 10} more)" if len(problems) > 10 else ""
+        raise ValueError(f"{path}: rejected {len(problems)} rows: {shown}{more}")
+    if not rows:
+        raise ValueError(f"{path}: empty dataset (header only)")
 
     return TimeSeriesDataset(
         name=name or path.stem,
@@ -254,60 +256,12 @@ def load_csv(path, target, schema=None, name=None):
     )
 
 
-def _count_rows(lines, width):
-    """The number of CSV rows left in the line iterator ``lines``, or None as
-    soon as one does not split into ``width`` fields as the csv module splits
-    it (a blank line has none).  Only a line holding a quote goes through the
-    csv module, which reads on if a quoted field spans lines."""
-    rows = 0
-    for line in lines:
-        rows += 1
-        if '"' in line:
-            fields = len(next(csv.reader(itertools.chain([line], lines))))
-        else:
-            fields = line.count(",") + 1 if line != "\n" else 0
-        if fields != width:
-            return None
-    return rows
-
-
-def _bad_lines(path, width, kept):
-    """Every rejected data line as (line number, reason), read row by row."""
-    problems = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != width:
-                problems.append((lineno, f"expected {width} fields, got {len(row)}"))
-                continue
-            cells = [(row[i], col) for i, col in kept]
-            bad = next((col for cell, col in cells if not _is_float(cell)), None)
-            if bad is not None:
-                problems.append((lineno, f"non-numeric value in column {bad!r}"))
-                continue
-            bad = next((col for cell, col in cells if not math.isfinite(float(cell))), None)
-            if bad is not None:
-                problems.append((lineno, f"non-finite value in column {bad!r}"))
-    return problems
-
-
-def _rejection(path, problems):
-    """One message naming the first ten bad lines, in line order."""
-    problems = sorted(problems)
-    shown = "; ".join(f"line {lineno}: {what}" for lineno, what in problems[:10])
-    more = f" (+{len(problems) - 10} more)" if len(problems) > 10 else ""
-    return f"{path}: rejected {len(problems)} rows: {shown}{more}"
-
-
 def _is_float(cell):
-    """Whether numpy's reader parses ``cell``: Python's float() syntax
-    without digit-grouping underscores or non-ASCII digits."""
     try:
         float(cell)
+        return True
     except ValueError:
         return False
-    return "_" not in cell and cell.strip().isascii()
 
 
 def split_borders(dataset, policy, l_ctx=None, h_pred=None):
