@@ -20,6 +20,7 @@ import argparse
 import csv
 import os
 import sys
+from collections import Counter
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -77,10 +78,16 @@ class ExperimentSpec:
 
 def _parse_seeds(text):
     try:
-        return tuple(int(part) for part in text.split(","))
+        seeds = tuple(int(part) for part in text.split(","))
     except ValueError:
         raise UsageError(f"cannot parse seed list {text!r}; "
                          "expected comma-separated integers like 0,1,2") from None
+    for seed, count in Counter(seeds).items():
+        if seed < 0:
+            raise UsageError(f"seed list {text!r}: negative seed {seed}")
+        if count > 1:
+            raise UsageError(f"seed list {text!r}: seed {seed} is repeated")
+    return seeds
 
 
 def _parse_yes_no(text):
@@ -127,6 +134,8 @@ def read_config(path):
                              f"valid keys: {', '.join(sorted(_CONVERTERS))}")
         try:
             values[key] = _CONVERTERS[key](value)
+        except UsageError as err:
+            raise UsageError(f"{path}:{lineno}: config key {key}: {err}") from None
         except ValueError:
             raise UsageError(
                 f"{path}:{lineno}: config key {key}: cannot parse {value!r}") from None
@@ -379,13 +388,28 @@ def cmd_eval(args):
 _EXPERIMENT_TASKS = {1: ((96, 96),), 2: ((96, 1),), 3: ((96, 96), (96, 1))}
 
 
+# Keys report_rows reads from each record, with the type each must parse as.
+_RECORD_KEYS = {"dataset": str, "model": str, "revin": str, "l_ctx": int,
+                "h_pred": int, "test_mae": float, "test_mse": float}
+
+
 def _collect_records(results_dir):
     root = Path(results_dir)
     records = []
     for path in sorted(root.rglob("result_*.txt")):
-        record = parse_record(path.read_text())
-        for key in ("test_mae", "test_mse"):
-            if not np.isfinite(float(record[key])):
+        try:
+            record = parse_record(path.read_text())
+        except ValueError as err:
+            raise RuntimeError(f"{path}: {err}") from None
+        for key, kind in _RECORD_KEYS.items():
+            if key not in record:
+                raise RuntimeError(f"{path}: key {key} missing")
+            try:
+                value = kind(record[key])
+            except ValueError:
+                raise RuntimeError(
+                    f"{path}: key {key}: cannot read {record[key]!r} as {kind.__name__}") from None
+            if kind is float and not np.isfinite(value):
                 raise RuntimeError(f"{path}: {key}={record[key]} is not finite")
         records.append(record)
     if not records:

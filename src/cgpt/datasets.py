@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import math
 from array import array
+from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
@@ -24,12 +25,8 @@ from .preprocessing import apply_standardizer, fit_standardizer, window_starts
 BURN_IN = 32
 CONTROL_AR = 0.9
 CONTROL_NOISE_STD = math.sqrt(0.19)  # unit-variance AR(1) at coefficient 0.9
-
-
-class ChannelRole(Enum):
-    INTERNAL_STATE = "internal"
-    OPERATIONAL = "operational"
-    TARGET = "target"
+TARGET_AR = 0.7
+TARGET_NOISE_STD = math.sqrt(0.1)
 
 
 class SplitPolicy(Enum):
@@ -39,10 +36,12 @@ class SplitPolicy(Enum):
 
 @dataclass(frozen=True)
 class TimeSeriesDataset:
+    """A (time, channel) series; ``target`` indexes the forecast channel and
+    ``graph`` is the known causal graph, or None when there is none."""
+
     name: str
     values: np.ndarray
     channel_names: tuple
-    roles: tuple
     target: int
     graph: CausalGraph | None = None
     borders: tuple | None = None
@@ -51,13 +50,10 @@ class TimeSeriesDataset:
         if self.values.ndim != 2:
             raise ValueError(f"values must be 2-D, got shape {self.values.shape}")
         n = self.values.shape[1]
-        if not (len(self.channel_names) == len(self.roles) == n):
-            raise ValueError("channel names/roles do not match the value matrix width")
+        if len(self.channel_names) != n:
+            raise ValueError("channel names do not match the value matrix width")
         if not 0 <= self.target < n:
             raise ValueError(f"target index {self.target} out of range for {n} channels")
-        targets = [i for i, r in enumerate(self.roles) if r is ChannelRole.TARGET]
-        if targets != [self.target]:
-            raise ValueError(f"roles mark {targets} as targets, expected exactly [{self.target}]")
         self.values.flags.writeable = False
 
     @property
@@ -71,38 +67,15 @@ class TimeSeriesDataset:
     def with_borders(self, borders):
         return replace(self, borders=tuple(tuple(b) for b in borders))
 
-    def with_values(self, values):
-        return replace(self, values=np.asarray(values, dtype=np.float64))
-
 
 @dataclass(frozen=True)
 class SyntheticConfig:
     length: int = 6144
     seed: int = 0
-    noise_std: float = math.sqrt(0.1)
-    ar_coeff: float = 0.7
-    lags: tuple | None = None        # per-cause lags; generator default if None
-    couplings: tuple | None = None   # per-cause coefficients; generator default if None
 
     def __post_init__(self):
         if self.length < 1:
             raise ValueError(f"length must be >= 1, got {self.length}")
-        if not -1.0 < self.ar_coeff < 1.0:
-            raise ValueError(f"AR coefficient must lie in (-1, 1), got {self.ar_coeff}")
-        if self.noise_std < 0:
-            raise ValueError(f"noise stdev must be >= 0, got {self.noise_std}")
-
-
-def _resolve(cfg, default_lags, default_couplings):
-    lags = default_lags if cfg.lags is None else tuple(cfg.lags)
-    couplings = default_couplings if cfg.couplings is None else tuple(cfg.couplings)
-    if len(lags) != len(default_lags) or len(couplings) != len(default_couplings):
-        raise ValueError(
-            f"expected {len(default_lags)} lags and {len(default_couplings)} couplings, "
-            f"got {lags} / {couplings}")
-    if any(not 0 < lag < cfg.length for lag in lags):
-        raise ValueError(f"lags must lie in (0, length), got {lags}")
-    return lags, couplings
 
 
 def _ar1(coeff, drive):
@@ -131,10 +104,9 @@ def _control(rng, n):
 
 def _as_dataset(name, columns, graph):
     values = np.column_stack(columns)[BURN_IN:]
-    roles = (ChannelRole.OPERATIONAL,) * 3 + (ChannelRole.TARGET,)
     return TimeSeriesDataset(name=name, values=values,
                              channel_names=("C0", "C1", "C2", "C3"),
-                             roles=roles, target=3, graph=graph)
+                             target=3, graph=graph)
 
 
 def generate_additive(cfg=SyntheticConfig()):
@@ -143,42 +115,38 @@ def generate_additive(cfg=SyntheticConfig()):
     C2 shadows C0 at a two-step lag but never feeds the target; the graph
     names only C0 and C1 as causes.
     """
-    lags, couplings = _resolve(cfg, default_lags=(4, 9), default_couplings=(0.8, 0.5))
     n = cfg.length + BURN_IN
     rng = np.random.Generator(np.random.Philox(key=cfg.seed))
     c0 = _control(rng, n)
     c1 = _control(rng, n)
     c2 = _standardize(0.8 * _shift(c0, 2) + 0.6 * rng.normal(0.0, 1.0, n))
-    drive = (couplings[0] * _shift(c0, lags[0])
-             + couplings[1] * _shift(c1, lags[1])
-             + rng.normal(0.0, cfg.noise_std, n))
-    c3 = _ar1(cfg.ar_coeff, drive)
+    drive = (0.8 * _shift(c0, 4) + 0.5 * _shift(c1, 9)
+             + rng.normal(0.0, TARGET_NOISE_STD, n))
+    c3 = _ar1(TARGET_AR, drive)
     return _as_dataset("additive", [c0, c1, c2, c3],
                        CausalGraph.from_edges([(0, 3), (1, 3)]))
 
 
 def generate_interactive(cfg=SyntheticConfig()):
     """Multiplicative/nonlinear lagged-cause target; all controls are causal."""
-    lags, couplings = _resolve(cfg, default_lags=(4, 6, 2, 3), default_couplings=(0.6, 0.4))
     n = cfg.length + BURN_IN
     rng = np.random.Generator(np.random.Philox(key=cfg.seed))
     c0 = _control(rng, n)
     c1 = _control(rng, n)
     c2 = _control(rng, n)
-    drive = (couplings[0] * np.tanh(_shift(c0, lags[0]) * _shift(c1, lags[1]))
-             + couplings[1] * _shift(c2, lags[2]) * _shift(c0, lags[3])
-             + rng.normal(0.0, cfg.noise_std, n))
-    c3 = _ar1(cfg.ar_coeff, drive)
+    drive = (0.6 * np.tanh(_shift(c0, 4) * _shift(c1, 6))
+             + 0.4 * _shift(c2, 2) * _shift(c0, 3)
+             + rng.normal(0.0, TARGET_NOISE_STD, n))
+    c3 = _ar1(TARGET_AR, drive)
     return _as_dataset("interactive", [c0, c1, c2, c3],
                        CausalGraph.from_edges([(0, 3), (1, 3), (2, 3)]))
 
 
-def load_csv(path, target, schema=None, name=None):
+def load_csv(path, target, name=None):
     """Read a header+rows CSV into a dataset; strict about malformed cells.
 
-    ``schema`` maps column names to "internal" | "operational" | "target" |
-    "drop"; unmapped columns default to internal state, and a column named
-    "date" defaults to dropped.
+    A column named "date" is dropped; every other column is a channel, and
+    no two of them may share a name.
 
     Kept cells are appended to one flat float64 buffer as each row is read,
     and the dataset's values are a view of that buffer, so the load holds
@@ -187,7 +155,6 @@ def load_csv(path, target, schema=None, name=None):
     path = Path(path)
     if not path.exists():
         raise ValueError(f"no such file: {path}")
-    schema = dict(schema or {})
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -195,24 +162,11 @@ def load_csv(path, target, schema=None, name=None):
         except StopIteration:
             raise ValueError(f"{path}: empty dataset (no header row)") from None
 
-        kept, roles = [], []
-        for i, col in enumerate(header):
-            role = schema.get(col, "drop" if col == "date" else "internal")
-            if col == target:
-                if role == "drop":
-                    raise ValueError(f"{path}: schema drops the target column {target!r}")
-                role = "target"
-            elif role == "target":
-                raise ValueError(
-                    f"{path}: schema marks {col!r} as target, but target is {target!r}")
-            if role == "drop":
-                continue
-            try:
-                roles.append(ChannelRole(role))
-            except ValueError:
-                raise ValueError(f"{path}: unknown role {role!r} for column {col!r}") from None
-            kept.append((i, col))
+        kept = [(i, col) for i, col in enumerate(header) if col != "date"]
         names = [col for _, col in kept]
+        repeated = [col for col, count in Counter(names).items() if count > 1]
+        if repeated:
+            raise ValueError(f"{path}: repeated column names {repeated}")
         if target not in names:
             raise ValueError(f"{path}: target column {target!r} not in columns {names}")
 
@@ -250,9 +204,7 @@ def load_csv(path, target, schema=None, name=None):
         name=name or path.stem,
         values=values,
         channel_names=tuple(names),
-        roles=tuple(roles),
         target=names.index(target),
-        graph=None,
     )
 
 
@@ -291,10 +243,6 @@ def split_borders(dataset, policy, l_ctx=None, h_pred=None):
     return splits
 
 
-def standardize_dataset(dataset, stats):
-    return dataset.with_values(apply_standardizer(dataset.values, stats))
-
-
 def _reject_non_finite(dataset, borders):
     """Raise on the first non-finite value in any split's rows, naming the
     split, the row (0-based) and the column."""
@@ -316,6 +264,6 @@ def prepare_dataset(dataset, policy, l_ctx=None, h_pred=None):
     """
     borders = split_borders(dataset, policy, l_ctx, h_pred)
     _reject_non_finite(dataset, borders)
-    ready = dataset.with_borders(borders)
-    stats = fit_standardizer(ready.values, borders[0])
-    return standardize_dataset(ready, stats), stats
+    stats = fit_standardizer(dataset.values, borders[0])
+    return replace(dataset, borders=borders,
+                   values=apply_standardizer(dataset.values, stats)), stats

@@ -50,10 +50,10 @@ class Variant(Enum):
 
 @dataclass(frozen=True)
 class CausalGraph:
-    """Directed edges (cause_channel, effect_channel) over dataset channels."""
+    """Directed edges (cause_channel, effect_channel) over dataset channels.
+    A dataset without a known graph carries ``None``, not an empty graph."""
 
-    edges: frozenset = frozenset()
-    present: bool = False
+    edges: frozenset
 
     def __post_init__(self):
         for cause, effect in self.edges:
@@ -62,7 +62,7 @@ class CausalGraph:
 
     @classmethod
     def from_edges(cls, edges):
-        return cls(edges=frozenset((int(c), int(e)) for c, e in edges), present=True)
+        return cls(edges=frozenset((int(c), int(e)) for c, e in edges))
 
     def parents(self, channel):
         return sorted(c for c, e in self.edges if e == channel)
@@ -74,7 +74,7 @@ def select_contexts(graph, target, all_channels):
     channels = sorted(all_channels)
     if target not in channels:
         raise ValueError(f"target channel {target} not among channels {channels}")
-    if graph is None or not graph.present:
+    if graph is None:
         return [c for c in channels if c != target]
     parents = graph.parents(target)
     bad = [c for c in parents if c not in channels]

@@ -22,7 +22,7 @@ import pytest
 from cgpt import tensor as T
 from cgpt.baselines import DLinearModel
 from cgpt.cli import main
-from cgpt.datasets import (ChannelRole, SplitPolicy, SyntheticConfig,
+from cgpt.datasets import (SplitPolicy, SyntheticConfig,
                            TimeSeriesDataset, generate_additive,
                            generate_interactive, load_csv, prepare_dataset)
 from cgpt.layers import EncoderConfig
@@ -341,8 +341,7 @@ def test_c10_scheduler_and_stopping():
     for p in model.params.values():
         p.data[:] = 0.0
     values = np.zeros((80, 2))
-    flat = TimeSeriesDataset("flat", values, ("a", "b"),
-                             (ChannelRole.INTERNAL_STATE, ChannelRole.TARGET), 1)
+    flat = TimeSeriesDataset("flat", values, ("a", "b"), 1)
     flat = flat.with_borders(((0, 50), (50, 65), (65, 80)))
     result = train(model, flat, TrainConfig(batch_size=16))
     assert result.best_epoch == 1

@@ -160,6 +160,22 @@ def test_train_records_are_reproducible(tmp_path):
     assert first == second
 
 
+@pytest.mark.parametrize("seeds, in_config, message", [
+    ("0,0", False, "seed list '0,0': seed 0 is repeated"),
+    ("2,-1", False, "seed list '2,-1': negative seed -1"),
+    ("1,2,1", True, "tiny.cfg:6: config key seeds: seed list '1,2,1': seed 1 is repeated"),
+], ids=["repeated", "negative", "config_file"])
+def test_bad_seed_list_is_usage_error(tmp_path, capsys, seeds, in_config, message):
+    if in_config:
+        argv = ["train", "--config", write_tiny_config(tmp_path, f"seeds={seeds}\n"),
+                "--dataset", "additive", "--model", "dlinear", "--out", str(tmp_path / "runs")]
+    else:
+        argv = train_argv(tmp_path, seeds=seeds)
+    assert main(argv) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
 def test_unknown_model_flag_is_usage_error(tmp_path, capsys):
     code = main(["train", "--dataset", "additive", "--model", "transformer",
                  "--out", str(tmp_path)])
@@ -365,6 +381,25 @@ def test_report_refuses_non_finite_record(tmp_path, capsys):
                  "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "seed_1" in err and "test_mae=nan" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("test_mae=0.5\n", "", "key test_mae missing"),
+    ("revin=no\n", "revin=no\ngarbage\n", "line 4: expected key=value, got 'garbage'"),
+    ("l_ctx=96\n", "l_ctx=abc\n", "key l_ctx: cannot read 'abc' as int"),
+    ("test_mae=0.5\n", "test_mae=abc\n", "key test_mae: cannot read 'abc' as float"),
+], ids=["missing_key", "no_equals_sign", "int_key", "float_key"])
+def test_report_names_the_bad_record_and_key(tmp_path, capsys, old, new, message):
+    runs = tmp_path / "runs"
+    fake_record(runs, seed=0)
+    fake_record(runs, seed=1)
+    bad = next(runs.rglob("seed_1/result_*.txt"))
+    bad.write_text(bad.read_text().replace(old, new))
+    out = tmp_path / "table.csv"
+    assert main(["report", "--results", str(runs), "--experiment", "2",
+                 "--out", str(out)]) == 2
+    assert f"{bad}: {message}" in capsys.readouterr().err
     assert not out.exists()
 
 

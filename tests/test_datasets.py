@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,7 +7,6 @@ import pytest
 from cgpt.cli import main
 from cgpt.datasets import (
     BURN_IN,
-    ChannelRole,
     SplitPolicy,
     SyntheticConfig,
     TimeSeriesDataset,
@@ -15,9 +15,8 @@ from cgpt.datasets import (
     load_csv,
     prepare_dataset,
     split_borders,
-    standardize_dataset,
 )
-from cgpt.preprocessing import fit_standardizer
+from cgpt.preprocessing import apply_standardizer, fit_standardizer
 
 
 def lagged(ds, channel, lag, max_lag):
@@ -33,9 +32,7 @@ def test_additive_shape_roles_graph():
     assert ds.values.shape == (6144, 4)
     assert ds.channel_names == ("C0", "C1", "C2", "C3")
     assert ds.target == 3
-    assert ds.roles[3] is ChannelRole.TARGET
-    assert all(r is ChannelRole.OPERATIONAL for r in ds.roles[:3])
-    assert ds.graph.present and ds.graph.parents(3) == [0, 1]
+    assert ds.graph.parents(3) == [0, 1]
 
 
 def test_interactive_graph_has_three_causes():
@@ -119,14 +116,8 @@ def test_interactive_nonlinearity_defeats_linear_fit():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError, match="AR coefficient"):
-        SyntheticConfig(ar_coeff=1.0)
     with pytest.raises(ValueError, match="length"):
         SyntheticConfig(length=0)
-    with pytest.raises(ValueError, match="lags"):
-        generate_additive(SyntheticConfig(length=8, lags=(4, 9)))
-    with pytest.raises(ValueError, match="lags"):
-        generate_additive(SyntheticConfig(lags=(4, 9, 2)))
 
 
 def test_dataset_values_are_frozen():
@@ -157,7 +148,6 @@ def test_load_csv_drops_date_and_finds_target(tmp_path):
     assert ds.values.shape == (3, 3)
     assert np.array_equal(ds.values[:, 0], [1.0, 4.0, 7.0])
     assert ds.graph is None
-    assert ds.roles[2] is ChannelRole.TARGET
 
 
 def test_load_csv_roundtrips_written_floats(tmp_path):
@@ -192,6 +182,8 @@ def test_load_csv_errors(tmp_path):
     p.write_text(CSV_BODY)
     with pytest.raises(ValueError, match="target column 'nope'"):
         load_csv(p, target="nope")
+    with pytest.raises(ValueError, match="target column 'date'"):
+        load_csv(p, target="date")  # the date column is always dropped
 
     with pytest.raises(ValueError, match="no such file"):
         load_csv(tmp_path / "missing.csv", target="OT")
@@ -206,96 +198,93 @@ def test_load_csv_reports_every_bad_line(tmp_path):
         load_csv(p, target="OT")
 
 
-def test_load_csv_schema_roles(tmp_path):
-    p = tmp_path / "roles.csv"
-    p.write_text("ts,u1,x1,OT\n1,2,3,4\n5,6,7,8\n")
-    ds = load_csv(p, target="OT", schema={"ts": "drop", "u1": "operational"})
-    assert ds.channel_names == ("u1", "x1", "OT")
-    assert ds.roles == (ChannelRole.OPERATIONAL, ChannelRole.INTERNAL_STATE, ChannelRole.TARGET)
-    with pytest.raises(ValueError, match="drops the target"):
-        load_csv(p, target="OT", schema={"OT": "drop"})
+@pytest.mark.parametrize("header", ["a,a,OT", "a,OT,OT"])
+def test_load_csv_rejects_repeated_column_names(tmp_path, header):
+    p = tmp_path / "repeated.csv"
+    p.write_text(f"date,{header},date\n2020,1,2,3,2021\n")
+    repeated = "a" if header == "a,a,OT" else "OT"
+    with pytest.raises(ValueError, match=rf"repeated column names \['{repeated}'\]$"):
+        load_csv(p, target="OT")
 
 
 # Parity corpus: the loader's result on each file, recorded from the
-# loader that kept a list of floats per row.  Accepted files give (channel
-# names, values); rejected ones give the message, with {path} for the file.
+# loader that kept a list of floats per row (the two quoted-header cases
+# with a lone \n or \r, from the flat-buffer loader that followed it).
+# Accepted files give (channel names, values); rejected ones give the
+# message, with {path} for the file.
 CSV_ACCEPTED = [
-    ('quoted', 'a,OT\n"1.5","2"\n3,"4.25"\n', 'OT', None,
+    ('quoted', 'a,OT\n"1.5","2"\n3,"4.25"\n', 'OT',
      ('a', 'OT'), [[1.5, 2.0], [3.0, 4.25]]),
-    ('crlf', 'a,OT\r\n1,2\r\n3,4\r\n', 'OT', None,
+    ('crlf', 'a,OT\r\n1,2\r\n3,4\r\n', 'OT',
      ('a', 'OT'), [[1.0, 2.0], [3.0, 4.0]]),
-    ('lone_cr', 'a,OT\r1,2\r3,4\r', 'OT', None,
+    ('lone_cr', 'a,OT\r1,2\r3,4\r', 'OT',
      ('a', 'OT'), [[1.0, 2.0], [3.0, 4.0]]),
-    ('no_trailing_newline', 'a,OT\n1,2\n3,4', 'OT', None,
+    ('no_trailing_newline', 'a,OT\n1,2\n3,4', 'OT',
      ('a', 'OT'), [[1.0, 2.0], [3.0, 4.0]]),
-    ('space_padded', 'a,OT\n 1.5 , 2\n3 ,\t4 \n', 'OT', None,
+    ('space_padded', 'a,OT\n 1.5 , 2\n3 ,\t4 \n', 'OT',
      ('a', 'OT'), [[1.5, 2.0], [3.0, 4.0]]),
-    ('etth1_date_dropped', 'date,HUFL,HULL,OT\n2016-07-01 00:00:00,5.827000141143799,2.009000062942505,30.5310001373291\n2016-07-01 01:00:00,5.692999839782715,2.075999975204468,27.78700065612793\n2016-07-01 02:00:00,5.1570000648498535,1.741000056266785,27.78700065612793\n', 'OT', None,
+    ('etth1_date_dropped', 'date,HUFL,HULL,OT\n2016-07-01 00:00:00,5.827000141143799,2.009000062942505,30.5310001373291\n2016-07-01 01:00:00,5.692999839782715,2.075999975204468,27.78700065612793\n2016-07-01 02:00:00,5.1570000648498535,1.741000056266785,27.78700065612793\n', 'OT',
      ('HUFL', 'HULL', 'OT'), [[5.827000141143799, 2.009000062942505, 30.5310001373291], [5.692999839782715, 2.075999975204468, 27.78700065612793], [5.1570000648498535, 1.741000056266785, 27.78700065612793]]),
-    ('schema_dropped', 'ts,u1,OT\nmonday,1,2\ntuesday,3,4\n', 'OT', {'ts': 'drop'},
-     ('u1', 'OT'), [[1.0, 2.0], [3.0, 4.0]]),
-    ('quoted_comma_in_dropped', 'date,a,OT\n"2020, Jan",1,2\n"2020, Feb",3,4\n', 'OT', None,
+    ('quoted_comma_in_dropped', 'date,a,OT\n"2020, Jan",1,2\n"2020, Feb",3,4\n', 'OT',
      ('a', 'OT'), [[1.0, 2.0], [3.0, 4.0]]),
-    ('single_row', 'a,OT\n1,2\n', 'OT', None,
+    ('single_row', 'a,OT\n1,2\n', 'OT',
      ('a', 'OT'), [[1.0, 2.0]]),
-    ('single_column', 'OT\n1\n2\n3\n', 'OT', None,
+    ('single_column', 'OT\n1\n2\n3\n', 'OT',
      ('OT',), [[1.0], [2.0], [3.0]]),
-    ('signs_exponents', 'a,OT\n+1e-3,-2.5E+2\n.5,1.\n', 'OT', None,
+    ('signs_exponents', 'a,OT\n+1e-3,-2.5E+2\n.5,1.\n', 'OT',
      ('a', 'OT'), [[0.001, -250.0], [0.5, 1.0]]),
-    ('repr_floats', 'x,y\n0.1,-1.2345678901234567e-300\n1.7976931348623157e+308,5e-324\n', 'y', None,
+    ('repr_floats', 'x,y\n0.1,-1.2345678901234567e-300\n1.7976931348623157e+308,5e-324\n', 'y',
      ('x', 'y'), [[0.1, -1.2345678901234568e-300], [1.7976931348623157e+308, 5e-324]]),
-    ('empty_cell_dropped', 'date,a,OT\n,1,2\n,3,4\n', 'OT', None,
+    ('empty_cell_dropped', 'date,a,OT\n,1,2\n,3,4\n', 'OT',
      ('a', 'OT'), [[1.0, 2.0], [3.0, 4.0]]),
-    ('quoted_newline_in_dropped', 'date,a,OT\n"2020\nJan",1,2\n"x",3,4\n', 'OT', None,
+    ('quoted_newline_in_dropped', 'date,a,OT\n"2020\nJan",1,2\n"x",3,4\n', 'OT',
      ('a', 'OT'), [[1.0, 2.0], [3.0, 4.0]]),
-    ('quoted_newline_header', '"da\nte",a,OT\n1,1,2\n', 'OT', {'da\nte': 'drop'},
-     ('a', 'OT'), [[1.0, 2.0]]),
-    ('nbsp', 'a,OT\n1.5\xa0,2\n3,4\n', 'OT', None,
+    ('quoted_newline_header', '"da\nte",a,OT\n1,1,2\n', 'OT',
+     ('da\nte', 'a', 'OT'), [[1.0, 1.0, 2.0]]),
+    ('nbsp', 'a,OT\n1.5\xa0,2\n3,4\n', 'OT',
      ('a', 'OT'), [[1.5, 2.0], [3.0, 4.0]]),
-    ('quoted_crlf_header', '"da\r\nte",a,OT\r\n1,1,2\r\n', 'OT', {'da\r\nte': 'drop'},
-     ('a', 'OT'), [[1.0, 2.0]]),
-    ('quoted_cr_header', '"da\rte",a,OT\r\n1,1,2\r\n', 'OT', {'da\rte': 'drop'},
-     ('a', 'OT'), [[1.0, 2.0]]),
-    ('quoted_crlf_header_kept', '"da\r\nte",a,OT\r\n1,1,2\r\n', 'OT', None,
+    ('quoted_cr_header', '"da\rte",a,OT\r\n1,1,2\r\n', 'OT',
+     ('da\rte', 'a', 'OT'), [[1.0, 1.0, 2.0]]),
+    ('quoted_crlf_header_kept', '"da\r\nte",a,OT\r\n1,1,2\r\n', 'OT',
      ('da\r\nte', 'a', 'OT'), [[1.0, 1.0, 2.0]]),
-    ('python_float_spellings', 'a,OT\n1_000,\u0661\u0662\n\uff11,2\n', 'OT', None,
+    ('python_float_spellings', 'a,OT\n1_000,\u0661\u0662\n\uff11,2\n', 'OT',
      ('a', 'OT'), [[1000.0, 12.0], [1.0, 2.0]]),
 ]
 
 CSV_REJECTED = [
-    ('non_finite', 'a,OT\n1,2\nnan,1\n4,inf\n5,Infinity\n-inf,3\nNaN,-Infinity\n', 'OT', None,
+    ('non_finite', 'a,OT\n1,2\nnan,1\n4,inf\n5,Infinity\n-inf,3\nNaN,-Infinity\n', 'OT',
      "{path}: rejected 5 rows: line 3: non-finite value in column 'a'; line 4: non-finite value in column 'OT'; line 5: non-finite value in column 'OT'; line 6: non-finite value in column 'a'; line 7: non-finite value in column 'a'"),
-    ('blank_line_mid', 'a,OT\n1,2\n\n3,4\n', 'OT', None,
+    ('blank_line_mid', 'a,OT\n1,2\n\n3,4\n', 'OT',
      '{path}: rejected 1 rows: line 3: expected 2 fields, got 0'),
-    ('blank_line_end', 'a,OT\n1,2\n3,4\n\n', 'OT', None,
+    ('blank_line_end', 'a,OT\n1,2\n3,4\n\n', 'OT',
      '{path}: rejected 1 rows: line 4: expected 2 fields, got 0'),
-    ('whitespace_line', 'a,OT\n1,2\n   \n3,4\n', 'OT', None,
+    ('whitespace_line', 'a,OT\n1,2\n   \n3,4\n', 'OT',
      '{path}: rejected 1 rows: line 3: expected 2 fields, got 1'),
-    ('whitespace_line_single_column', 'OT\n1\n  \n2\n', 'OT', None,
+    ('whitespace_line_single_column', 'OT\n1\n  \n2\n', 'OT',
      "{path}: rejected 1 rows: line 3: non-numeric value in column 'OT'"),
-    ('blank_line_single_column', 'OT\n1\n\n2\n', 'OT', None,
+    ('blank_line_single_column', 'OT\n1\n\n2\n', 'OT',
      '{path}: rejected 1 rows: line 3: expected 1 fields, got 0'),
-    ('extra_field', 'a,OT\n1,2\n3,4,5\n6,7\n', 'OT', None,
+    ('extra_field', 'a,OT\n1,2\n3,4,5\n6,7\n', 'OT',
      '{path}: rejected 1 rows: line 3: expected 2 fields, got 3'),
-    ('missing_field', 'a,OT\n1,2\n3\n6,7\n', 'OT', None,
+    ('missing_field', 'a,OT\n1,2\n3\n6,7\n', 'OT',
      '{path}: rejected 1 rows: line 3: expected 2 fields, got 1'),
-    ('trailing_comma_every_row', 'a,OT\n1,2,\n3,4,\n', 'OT', None,
+    ('trailing_comma_every_row', 'a,OT\n1,2,\n3,4,\n', 'OT',
      '{path}: rejected 2 rows: line 2: expected 2 fields, got 3; line 3: expected 2 fields, got 3'),
-    ('empty_cell_kept', 'a,OT\n1,\n3,4\n', 'OT', None,
+    ('empty_cell_kept', 'a,OT\n1,\n3,4\n', 'OT',
      "{path}: rejected 1 rows: line 2: non-numeric value in column 'OT'"),
-    ('non_numeric', 'a,OT\n1,2\nx,4\n', 'OT', None,
+    ('non_numeric', 'a,OT\n1,2\nx,4\n', 'OT',
      "{path}: rejected 1 rows: line 3: non-numeric value in column 'a'"),
-    ('non_numeric_and_non_finite', 'a,OT\n1,2\nx,2\n3,y\nnan,1\n4,inf\n', 'OT', None,
+    ('non_numeric_and_non_finite', 'a,OT\n1,2\nx,2\n3,y\nnan,1\n4,inf\n', 'OT',
      "{path}: rejected 4 rows: line 3: non-numeric value in column 'a'; line 4: non-numeric value in column 'OT'; line 5: non-finite value in column 'a'; line 6: non-finite value in column 'OT'"),
-    ('ragged_and_non_finite', 'a,OT\n1,2\nnan,1\n3\n', 'OT', None,
+    ('ragged_and_non_finite', 'a,OT\n1,2\nnan,1\n3\n', 'OT',
      "{path}: rejected 2 rows: line 3: non-finite value in column 'a'; line 4: expected 2 fields, got 1"),
-    ('header_only', 'a,OT\n', 'OT', None,
+    ('header_only', 'a,OT\n', 'OT',
      '{path}: empty dataset (header only)'),
-    ('empty_file', '', 'OT', None,
+    ('empty_file', '', 'OT',
      '{path}: empty dataset (no header row)'),
-    ('more_than_ten_bad', 'a,OT\n1,2\nx0,1\nx1,1\nx2,1\nx3,1\nx4,1\nx5,1\nx6,1\nx7,1\nnan,1\n3,4,5\n\n7,8\n2,inf\n9,\n', 'OT', None,
+    ('more_than_ten_bad', 'a,OT\n1,2\nx0,1\nx1,1\nx2,1\nx3,1\nx4,1\nx5,1\nx6,1\nx7,1\nnan,1\n3,4,5\n\n7,8\n2,inf\n9,\n', 'OT',
      "{path}: rejected 13 rows: line 3: non-numeric value in column 'a'; line 4: non-numeric value in column 'a'; line 5: non-numeric value in column 'a'; line 6: non-numeric value in column 'a'; line 7: non-numeric value in column 'a'; line 8: non-numeric value in column 'a'; line 9: non-numeric value in column 'a'; line 10: non-numeric value in column 'a'; line 11: non-finite value in column 'a'; line 12: expected 2 fields, got 3 (+3 more)"),
-    ('quoted_newline_then_nan', 'date,a,OT\n"2020\nJan",1,2\n"x",3,nan\n', 'OT', None,
+    ('quoted_newline_then_nan', 'date,a,OT\n"2020\nJan",1,2\n"x",3,nan\n', 'OT',
      "{path}: rejected 1 rows: line 3: non-finite value in column 'OT'"),
 ]
 
@@ -305,22 +294,22 @@ def write_case(tmp_path, text):
     return p
 
 
-@pytest.mark.parametrize("text, target, schema, names, values",
+@pytest.mark.parametrize("text, target, names, values",
                          [case[1:] for case in CSV_ACCEPTED], ids=[case[0] for case in CSV_ACCEPTED])
-def test_load_csv_parity_accepted(tmp_path, text, target, schema, names, values):
-    ds = load_csv(write_case(tmp_path, text), target=target, schema=schema)
+def test_load_csv_parity_accepted(tmp_path, text, target, names, values):
+    ds = load_csv(write_case(tmp_path, text), target=target)
     expected = np.array(values, dtype=np.float64)
     assert ds.channel_names == names
     assert ds.values.dtype == np.float64 and ds.values.shape == expected.shape
     assert ds.values.tobytes() == expected.tobytes()
 
 
-@pytest.mark.parametrize("text, target, schema, message",
+@pytest.mark.parametrize("text, target, message",
                          [case[1:] for case in CSV_REJECTED], ids=[case[0] for case in CSV_REJECTED])
-def test_load_csv_parity_rejected(tmp_path, text, target, schema, message):
+def test_load_csv_parity_rejected(tmp_path, text, target, message):
     p = write_case(tmp_path, text)
     with pytest.raises(ValueError) as err:
-        load_csv(p, target=target, schema=schema)
+        load_csv(p, target=target)
     assert str(err.value) == message.replace("{path}", str(p))
 
 
@@ -347,17 +336,14 @@ def test_ratio_borders_on_standard_length():
 def test_ratio_partitions_exactly():
     for t_total in (100, 6144, 17420, 997):
         values = np.zeros((t_total, 2))
-        values[:, 1] = 1.0  # keep channel roles trivial
-        ds = TimeSeriesDataset("x", values, ("a", "b"),
-                               (ChannelRole.INTERNAL_STATE, ChannelRole.TARGET), 1)
+        ds = TimeSeriesDataset("x", values, ("a", "b"), 1)
         (s0, e0), (s1, e1), (s2, e2) = split_borders(ds, SplitPolicy.RATIO_70_20_10)
         assert s0 == 0 and e2 == t_total
         assert e0 == s1 and e1 == s2
 
 
 def test_etth1_borders():
-    ds = TimeSeriesDataset("e", np.zeros((17420, 2)), ("a", "b"),
-                           (ChannelRole.INTERNAL_STATE, ChannelRole.TARGET), 1)
+    ds = TimeSeriesDataset("e", np.zeros((17420, 2)), ("a", "b"), 1)
     splits = split_borders(ds, SplitPolicy.ETTH1_STANDARD)
     assert splits == ((0, 8640), (8640, 11520), (11520, 14400))
     sizes = [e - s for s, e in splits]
@@ -365,12 +351,10 @@ def test_etth1_borders():
 
 
 def test_split_borders_window_feasibility():
-    tiny = TimeSeriesDataset("t", np.zeros((10, 2)), ("a", "b"),
-                             (ChannelRole.INTERNAL_STATE, ChannelRole.TARGET), 1)
+    tiny = TimeSeriesDataset("t", np.zeros((10, 2)), ("a", "b"), 1)
     with pytest.raises(ValueError):
         split_borders(tiny, SplitPolicy.RATIO_70_20_10, l_ctx=96)
-    short = TimeSeriesDataset("s", np.zeros((1000, 2)), ("a", "b"),
-                              (ChannelRole.INTERNAL_STATE, ChannelRole.TARGET), 1)
+    short = TimeSeriesDataset("s", np.zeros((1000, 2)), ("a", "b"), 1)
     with pytest.raises(ValueError, match="14400"):
         split_borders(short, SplitPolicy.ETTH1_STANDARD)
 
@@ -387,8 +371,7 @@ def test_prepare_standardizes_on_train_only():
     # val/test keep whatever drift they have; nothing renormalizes them
     manual = fit_standardizer(ds.values, (s0, e0))
     assert np.array_equal(stats.mean, manual.mean)
-    redo = standardize_dataset(ds.with_borders(ready.borders), stats)
-    assert np.array_equal(redo.values, ready.values)
+    assert np.array_equal(apply_standardizer(ds.values, stats), ready.values)
 
 
 @pytest.mark.parametrize("split,row", [("test", 5600), ("val", 4400)])
@@ -398,4 +381,4 @@ def test_prepare_rejects_non_finite_value_in_any_split(split, row):
     values[row, 1] = np.nan
     with pytest.raises(ValueError,
                        match=rf"non-finite value nan in the {split} split, row {row}, column 'C1'"):
-        prepare_dataset(ds.with_values(values), SplitPolicy.RATIO_70_20_10, l_ctx=96, h_pred=1)
+        prepare_dataset(replace(ds, values=values), SplitPolicy.RATIO_70_20_10, l_ctx=96, h_pred=1)

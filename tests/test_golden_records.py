@@ -8,12 +8,18 @@ with ``repr``, so a change in the last bit of any of them shows.
 The strings were recorded with numpy 2.4.6 on OpenBLAS (x86_64).  Another
 BLAS or numpy build may round differently; a change that moves results on
 purpose must regenerate them and say so.
+
+The synthetic generators' outputs are pinned the same way, by the sha256
+of ``values.tobytes()``.
 """
+
+import hashlib
 
 import pytest
 
 from cgpt.baselines import DLinearModel, MlpBaseline
-from cgpt.datasets import SplitPolicy, SyntheticConfig, generate_additive, prepare_dataset
+from cgpt.datasets import (SplitPolicy, SyntheticConfig, generate_additive,
+                           generate_interactive, prepare_dataset)
 from cgpt.layers import EncoderConfig
 from cgpt.model import CgptConfig, CgptModel, Variant
 from cgpt.preprocessing import PatchConfig
@@ -147,3 +153,23 @@ def test_result_record_matches_golden_text(data, name, revin):
     cfg = TrainConfig(lr=3e-3, batch_size=64, max_epochs=2, patience=2, revin=revin, seed=1)
     record = result_record(train(build(name), data, cfg), {"model": name})
     assert record == GOLDEN[name, revin]
+
+
+GENERATORS = {"additive": generate_additive, "interactive": generate_interactive}
+
+GENERATOR_SHA256 = {
+    ("additive", 0, 6144): "237ef1e515f27e571e877be4eb20e98a69b21b4bcb11c0a3f51419d1a32fe5fc",
+    ("additive", 0, 600): "96ebafe132bb5ffc5ae3367e8b5da32fc2bac08957bc1480ee038de08ec33b0a",
+    ("additive", 3, 6144): "bcd8feed4e8b4416c01eef86385034dffc8571e00338e388ea711993ce97571e",
+    ("additive", 3, 600): "e8f6f1fa6a7484e49ab82f9e8b5382e3aa4eccf9959479afe34d274021255e13",
+    ("interactive", 0, 6144): "7153da0b0b50485b6134262d0765bbf0b5a9fbc54cb83f0ea74f492f4d1f0c5d",
+    ("interactive", 0, 600): "4646bb104ee5d3cfc3952c1519f801e7ca3babb2f78d4a8845b0563b86cca1a1",
+    ("interactive", 3, 6144): "c435cc55e5c52fa7349300e4cbe4e4e2920ed43f75f33eacc639f9f19365a21e",
+    ("interactive", 3, 600): "8fdf472692dbdfec11affa59ff6fd02773ce41e14584712a3c470cfa8d08fd3a",
+}
+
+
+@pytest.mark.parametrize("kind,seed,length", list(GENERATOR_SHA256))
+def test_generator_values_match_pinned_bytes(kind, seed, length):
+    values = GENERATORS[kind](SyntheticConfig(length=length, seed=seed)).values
+    assert hashlib.sha256(values.tobytes()).hexdigest() == GENERATOR_SHA256[kind, seed, length]

@@ -46,8 +46,9 @@ def test_select_contexts_uses_graph_parents_sorted():
 
 def test_select_contexts_without_graph_takes_all_others():
     assert select_contexts(None, 2, range(5)) == [0, 1, 3, 4]
-    absent = CausalGraph()
-    assert select_contexts(absent, 0, range(3)) == [1, 2]
+    with pytest.raises(TypeError):
+        CausalGraph()  # no graph is None, never an empty default
+    assert select_contexts(CausalGraph.from_edges([]), 0, range(3)) == []
 
 
 def test_select_contexts_errors():

@@ -1,13 +1,13 @@
 import gc
 import math
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from cgpt.baselines import DLinearModel, MlpBaseline
 from cgpt.datasets import (
-    ChannelRole,
     SplitPolicy,
     SyntheticConfig,
     TimeSeriesDataset,
@@ -194,8 +194,7 @@ def zeroed_dlinear(l_ctx=16, h_pred=1):
 
 def zero_dataset(rows=80):
     values = np.zeros((rows, 2))
-    ds = TimeSeriesDataset("flat", values, ("a", "b"),
-                           (ChannelRole.INTERNAL_STATE, ChannelRole.TARGET), 1)
+    ds = TimeSeriesDataset("flat", values, ("a", "b"), 1)
     return ds.with_borders(((0, rows - 30), (rows - 30, rows - 15), (rows - 15, rows)))
 
 
@@ -302,10 +301,9 @@ def test_every_model_family_learns_in_one_epoch():
 def test_overfits_a_tiny_window_set():
     """64 training windows must be memorized to far below the noise floor."""
     ds = generate_additive(SyntheticConfig(seed=0, length=160))
-    ds = ds.with_borders(((0, 96), (96, 128), (128, 160)))
-    from cgpt.preprocessing import fit_standardizer
-    from cgpt.datasets import standardize_dataset
-    ds = standardize_dataset(ds, fit_standardizer(ds.values, (0, 96)))
+    from cgpt.preprocessing import apply_standardizer, fit_standardizer
+    values = apply_standardizer(ds.values, fit_standardizer(ds.values, (0, 96)))
+    ds = replace(ds, values=values, borders=((0, 96), (96, 128), (128, 160)))
 
     enc = EncoderConfig(d_model=32, d_ff=64, n_heads=1, e_layers=1,
                         patch=PatchConfig(8, 8), n_p_max=8)
