@@ -85,6 +85,8 @@ def _parse_seeds(text):
     for seed, count in Counter(seeds).items():
         if seed < 0:
             raise UsageError(f"seed list {text!r}: negative seed {seed}")
+        if seed >= 2 ** 63:  # training keys numpy's Philox with int64 [seed, epoch]
+            raise UsageError(f"seed list {text!r}: seed {seed} is not below 2**63")
         if count > 1:
             raise UsageError(f"seed list {text!r}: seed {seed} is repeated")
     return seeds
@@ -388,8 +390,8 @@ def cmd_eval(args):
 _EXPERIMENT_TASKS = {1: ((96, 96),), 2: ((96, 1),), 3: ((96, 96), (96, 1))}
 
 
-# Keys report_rows reads from each record, with the type each must parse as.
-_RECORD_KEYS = {"dataset": str, "model": str, "revin": str, "l_ctx": int,
+# Keys report_rows reads from each record, with the converter each must pass.
+_RECORD_KEYS = {"dataset": str, "model": _model_id, "revin": _parse_yes_no, "l_ctx": int,
                 "h_pred": int, "test_mae": float, "test_mse": float}
 
 
@@ -406,6 +408,8 @@ def _collect_records(results_dir):
                 raise RuntimeError(f"{path}: key {key} missing")
             try:
                 value = kind(record[key])
+            except UsageError as err:
+                raise RuntimeError(f"{path}: key {key}: {err}") from None
             except ValueError:
                 raise RuntimeError(
                     f"{path}: key {key}: cannot read {record[key]!r} as {kind.__name__}") from None

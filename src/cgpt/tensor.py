@@ -12,8 +12,10 @@ backward closure has consumed it.
 
 from __future__ import annotations
 
+import contextvars
 import itertools
 import math
+import os
 from contextlib import contextmanager
 
 import numpy as np
@@ -306,15 +308,88 @@ def layer_norm_last_dim(a, eps=LAYER_NORM_EPS):
     return _record(y, (a,), bwd)
 
 
+_MIN_CHUNK = 4096
+_pool = None  # (pid, usable CPUs, executor or None), made by the first split
+
+
+def _workers():
+    """This process's CPU count and thread pool, made on first use.
+
+    A forked child gets its own: the threads of its parent's pool do not
+    exist in it.
+    """
+    global _pool
+    if _pool is None or _pool[0] != os.getpid():
+        try:
+            cpus = len(os.sched_getaffinity(0))
+        except AttributeError:  # no affinity call on this platform
+            cpus = os.cpu_count() or 1
+        executor = None
+        if cpus > 1:
+            # imported here, not with this module, to keep start-up fast
+            from concurrent.futures import ThreadPoolExecutor
+            executor = ThreadPoolExecutor(cpus - 1, thread_name_prefix="cgpt-split")
+        _pool = (os.getpid(), cpus, executor)
+    return _pool[1], _pool[2]
+
+
+def _split(n, part):
+    """Run ``part(lo, hi)`` over ``[0, n)`` in contiguous chunks at once.
+
+    There is one chunk per usable CPU, but none shorter than
+    ``_MIN_CHUNK``; with fewer than two, ``part(0, n)`` runs inline.  The
+    caller's thread runs the first chunk and the pool the rest, each in a
+    copy of the caller's context, so numpy's error state applies to every
+    chunk.  ``part`` must only write its own slice, with numpy calls that
+    release the GIL.  Returns once every chunk has finished; an exception
+    in any chunk is then raised here.
+    """
+    cpus, executor = _workers() if n >= 2 * _MIN_CHUNK else (1, None)
+    k = min(cpus, n // _MIN_CHUNK)
+    if k < 2:
+        part(0, n)
+        return
+    edges = [n * i // k for i in range(k + 1)]
+    futures = [executor.submit(contextvars.copy_context().run, part, lo, hi)
+               for lo, hi in zip(edges[1:-1], edges[2:])]
+    try:
+        part(0, edges[1])
+    finally:
+        errors = [f.exception() for f in futures]  # waits for every chunk
+    for err in errors:
+        if err is not None:
+            raise err
+
+
 _GELU_C = math.sqrt(2.0 / math.pi)
 
 
 def gelu(a):
-    """tanh-approximation gelu: 0.5*x*(1 + tanh(c*(x + 0.044715*x^3)))."""
-    x = a.data
-    u = _GELU_C * (x + 0.044715 * x ** 3)
-    t = np.tanh(u)
-    out = 0.5 * x * (1.0 + t)
+    """tanh-approximation gelu: 0.5*x*(1 + tanh(c*(x + 0.044715*x^3))).
+
+    The forward runs in chunks over the usable CPUs (``_split``).  Every
+    element goes through the formula's operations in the formula's order,
+    so the result has the same bits for any number of chunks.  Do not
+    reassociate: ``((1 + t) * x) * 0.5`` overflows at x = 1e308.
+    """
+    x = np.ascontiguousarray(a.data)
+    t = np.empty_like(x)
+    out = np.empty_like(x)
+    one_plus_t = np.empty_like(x)
+    flat = [v.reshape(-1) for v in (x, t, out, one_plus_t)]
+
+    def part(lo, hi):
+        xs, ts, outs, ss = (v[lo:hi] for v in flat)
+        np.power(xs, 3, out=ts)
+        ts *= 0.044715
+        ts += xs
+        ts *= _GELU_C
+        np.tanh(ts, out=ts)
+        np.multiply(xs, 0.5, out=outs)
+        np.add(ts, 1.0, out=ss)
+        outs *= ss
+
+    _split(x.size, part)
 
     def bwd(g):
         du = _GELU_C * (1.0 + 3 * 0.044715 * x ** 2)

@@ -164,7 +164,12 @@ def test_train_records_are_reproducible(tmp_path):
     ("0,0", False, "seed list '0,0': seed 0 is repeated"),
     ("2,-1", False, "seed list '2,-1': negative seed -1"),
     ("1,2,1", True, "tiny.cfg:6: config key seeds: seed list '1,2,1': seed 1 is repeated"),
-], ids=["repeated", "negative", "config_file"])
+    # numpy keys Philox with int64 [seed, epoch]: 2**63 would turn it into
+    # float64 and share 2**63 + 1's permutation; 2**64 would not convert
+    (f"0,{2**63}", False, f"seed list '0,{2**63}': seed {2**63} is not below 2**63"),
+    (f"{2**64}", True, f"tiny.cfg:6: config key seeds: seed list '{2**64}': "
+                       f"seed {2**64} is not below 2**63"),
+], ids=["repeated", "negative", "config_file", "two_to_the_63", "two_to_the_64_config"])
 def test_bad_seed_list_is_usage_error(tmp_path, capsys, seeds, in_config, message):
     if in_config:
         argv = ["train", "--config", write_tiny_config(tmp_path, f"seeds={seeds}\n"),
@@ -389,7 +394,9 @@ def test_report_refuses_non_finite_record(tmp_path, capsys):
     ("revin=no\n", "revin=no\ngarbage\n", "line 4: expected key=value, got 'garbage'"),
     ("l_ctx=96\n", "l_ctx=abc\n", "key l_ctx: cannot read 'abc' as int"),
     ("test_mae=0.5\n", "test_mae=abc\n", "key test_mae: cannot read 'abc' as float"),
-], ids=["missing_key", "no_equals_sign", "int_key", "float_key"])
+    ("revin=no\n", "revin=maybe\n", "key revin: expected yes or no, got 'maybe'"),
+    ("model=leaky\n", "model=transformer\n", "key model: unknown model id 'transformer'"),
+], ids=["missing_key", "no_equals_sign", "int_key", "float_key", "revin_value", "model_value"])
 def test_report_names_the_bad_record_and_key(tmp_path, capsys, old, new, message):
     runs = tmp_path / "runs"
     fake_record(runs, seed=0)

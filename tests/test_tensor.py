@@ -1,4 +1,12 @@
 import math
+import os
+import signal
+import subprocess
+import sys
+import threading
+import time
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -80,6 +88,135 @@ def test_gelu_known_values():
     assert abs(got - want) < 1e-15
     # large negative input decays to ~0, no overflow
     assert abs(T.gelu(Tensor([-30.0])).data[0]) < 1e-12
+
+
+# ------------------------------------------------------ chunked gelu
+
+# Overflow, subnormal and signed-zero inputs, placed in the first and the
+# last chunk of every split.
+EXTREMES = [1e308, -1e308, 1e200, -1e200, 1e-310, -1e-310, 5e-324, 0.0, -0.0]
+
+
+def serial_gelu(x):
+    """gelu's forward and the gradient of its sum, as single expressions."""
+    u = T._GELU_C * (x + 0.044715 * x ** 3)
+    t = np.tanh(u)
+    du = T._GELU_C * (1.0 + 3 * 0.044715 * x ** 2)
+    return 0.5 * x * (1.0 + t), 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t ** 2) * du
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """``cpus(n)``: the next split sees ``n`` usable CPUs and makes a pool for them."""
+    used = []
+
+    def use(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+        monkeypatch.setattr(T, "_pool", None)
+        used.append(n)
+
+    yield use
+    if used and T._pool is not None and T._pool[2] is not None:
+        T._pool[2].shutdown()
+
+
+def mixed_sign(n, seed=0):
+    x = np.random.default_rng(seed).standard_normal(n) * 3.0
+    k = min(len(EXTREMES), n)
+    x[:k] = EXTREMES[:k]
+    x[n - k:] = EXTREMES[:k]
+    return x
+
+
+@pytest.mark.parametrize("n_cpus", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 4095, 8191, 8192, 8193, 98307])
+def test_chunked_gelu_has_the_serial_bits(cpus, n_cpus, n):
+    cpus(n_cpus)
+    x = mixed_sign(n)
+    with np.errstate(all="ignore"):
+        want_out, want_grad = serial_gelu(x)
+        t = Tensor(x, requires_grad=True)
+        y = T.gelu(t)
+        backward(sum_axis(y))
+    assert y.shape == x.shape
+    assert y.data.tobytes() == want_out.tobytes()
+    assert t.grad.tobytes() == want_grad.tobytes()
+
+
+def test_chunked_gelu_keeps_the_callers_error_state(cpus):
+    cpus(4)
+    x = mixed_sign(98307)
+    x[:len(EXTREMES)] = 1.0
+    x[-len(EXTREMES):] = 1.0
+    x[-1] = 1e200  # x**3 overflows in the last chunk only
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        T.gelu(Tensor(x))
+    with np.errstate(over="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert T.gelu(Tensor(x)).data[-1] == 1e200
+
+
+def test_split_raises_a_chunks_error_after_every_chunk_ran(cpus):
+    cpus(4)
+    ran = []
+
+    def part(lo, hi):
+        ran.append((lo, hi))
+        if lo == 8192:
+            raise ValueError("chunk 2")
+
+    with pytest.raises(ValueError, match="chunk 2"):
+        T._split(16384, part)
+    assert sorted(ran) == [(0, 4096), (4096, 8192), (8192, 12288), (12288, 16384)]
+
+
+def test_split_below_two_chunks_runs_inline_without_a_pool(cpus):
+    cpus(4)
+    calls = []
+    T._split(6144, lambda lo, hi: calls.append((lo, hi, threading.get_ident())))
+    assert calls == [(0, 6144, threading.get_ident())]
+    assert T._pool is None
+
+
+def test_forked_child_computes_gelu_with_its_own_pool(cpus):
+    cpus(2)
+    x = mixed_sign(98304)
+    with np.errstate(all="ignore"):
+        want = serial_gelu(x)[0].tobytes()
+        assert T.gelu(Tensor(x)).data.tobytes() == want  # the parent's pool has run
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)  # fork with threads, 3.12+
+        pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            with np.errstate(all="ignore"):
+                code = 0 if T.gelu(Tensor(x)).data.tobytes() == want else 3
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 60.0
+    while True:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            break
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("forked child did not finish its gelu in 60 s")
+        time.sleep(0.01)
+    assert os.waitstatus_to_exitcode(status) == 0
+
+
+def test_importing_the_cli_starts_no_thread_and_no_executor():
+    # a fresh `import cgpt.cli` is most of the benchmark's set-up time
+    probe = ("import sys, threading; import cgpt.cli; "
+             "assert 'concurrent.futures' not in sys.modules, 'concurrent.futures imported'; "
+             "assert threading.active_count() == 1, threading.enumerate()")
+    src = str(Path(T.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
 
 
 def test_elementwise_unary_values():
