@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import os
 import sys
 from collections import Counter
@@ -98,6 +99,20 @@ def _parse_yes_no(text):
     return text == "yes"
 
 
+def _positive_float(text):
+    value = float(text)
+    if not 0 < value < math.inf:
+        raise UsageError(f"expected a finite number above 0, got {text!r}")
+    return value
+
+
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise UsageError(f"expected an integer of at least 1, got {text!r}")
+    return value
+
+
 def _model_id(text):
     if text not in MODELS:
         raise UsageError(f"unknown model id {text!r}; valid ids: {', '.join(MODEL_IDS)}")
@@ -113,7 +128,8 @@ _CONVERTERS = {
     "data_seed": int, "length": int, "target": str,
     "d_model": int, "d_ff": int, "n_heads": int, "e_layers": int, "patch_len": int,
     "stride": int, "n_p_max": int, "kernel": int, "hidden": int,
-    "lr": float, "batch": int, "max_epochs": int, "patience": int,
+    "lr": _positive_float, "batch": _positive_int, "max_epochs": _positive_int,
+    "patience": _positive_int,
 }
 
 
@@ -274,6 +290,9 @@ def model_from_checkpoint(header, arrays):
 
 # --------------------------------------------------------------- subcommands
 
+_CSV_BLOCK_ROWS = 1024
+
+
 def cmd_gen_data(args):
     dataset, _ = resolve_dataset(args.dataset, {"length": args.length, "data_seed": args.seed})
 
@@ -283,8 +302,10 @@ def cmd_gen_data(args):
     with open(out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(dataset.channel_names)
-        for row in dataset.values:
-            writer.writerow([repr(float(v)) for v in row])
+        # csv writes floats with repr.  Rows go in blocks, so that only one
+        # block's Python floats exist at a time, not the whole table's.
+        for lo in range(0, dataset.length, _CSV_BLOCK_ROWS):
+            writer.writerows(dataset.values[lo:lo + _CSV_BLOCK_ROWS].tolist())
 
     sidecar = out.with_name(out.stem + ".graph.txt")
     names = dataset.channel_names

@@ -1,13 +1,30 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 The op set is exactly what the forecasting models in this package need;
-anything else is deliberately unrepresentable.  Each op records a backward
-closure on its output when some input requires gradients.  ``backward``
+anything else is deliberately unrepresentable.  When some input of an op
+requires gradients, its output gets a ``_Node``: the graph bookkeeping,
+kept apart from the data.  A node holds its backward closure and one
+entry per input: the input's own node, the input tensor itself when it
+is a leaf that requires gradients (a tensor no op produced, such as a
+parameter), or ``None`` when the input needs no gradient.  Nodes never
+hold an output's array, and each closure saves only what it reads:
+
+* ``add``, ``sub``: the input shapes that need a gradient;
+* ``mul``, ``matmul``: the operand arrays (each grad reads the other one);
+* ``relu``, ``square``: the input array;
+* ``reshape``, ``narrow``, ``sum_axis``, ``mean_axis``: the input shape;
+  ``concat_last_dim``: the widths and which parts need a gradient;
+* ``softmax_last_dim``: its output; ``layer_norm_last_dim``: its output
+  and the inverse deviations; ``gelu``: its input and inner ``tanh``;
+  ``tanh`` and ``sqrt``: their outputs;
+* ``scale``: its factor; ``transpose_last_two``: nothing.
+
+So an intermediate array that no closure saved is freed as soon as the
+model code drops its tensor, not when the step's graph goes.  ``backward``
 replays the closures in reverse creation order, which is a valid
 topological order because operands always exist before the op that
-consumes them.  Only leaves (tensors no op produced, such as parameters)
-receive a ``.grad``; an intermediate's gradient lives only until its own
-backward closure has consumed it.
+consumes them.  Only leaves receive a ``.grad``; an intermediate's
+gradient lives only until its own backward closure has consumed it.
 """
 
 from __future__ import annotations
@@ -30,6 +47,22 @@ class ShapeError(ValueError):
     """Operand shapes incompatible for the attempted op."""
 
 
+class _Node:
+    """What ``backward`` needs of one op output: no array of the output.
+
+    ``parents`` has one entry per op input: its node, the input itself
+    for a leaf that requires gradients, or ``None``.  ``_id`` is the
+    output tensor's creation index.
+    """
+
+    __slots__ = ("parents", "bwd", "_id")
+
+    def __init__(self, parents, bwd, id_):
+        self.parents = parents
+        self.bwd = bwd
+        self._id = id_
+
+
 class Tensor:
     """A dense float64 array, optionally tracked by the autodiff graph."""
 
@@ -37,9 +70,21 @@ class Tensor:
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = requires_grad
         self.grad = None
-        self._parents = ()
-        self._bwd = None
+        self._node = None
         self._id = next(_COUNTER)
+
+    @property
+    def _parents(self):
+        return () if self._node is None else self._node.parents
+
+    @property
+    def _bwd(self):
+        return None if self._node is None else self._node.bwd
+
+    @_bwd.setter
+    def _bwd(self, bwd):
+        # lets a caller wrap an op's backward closure, e.g. to time it
+        self._node.bwd = bwd
 
     @property
     def shape(self):
@@ -92,9 +137,14 @@ def _record(data, parents, bwd):
     out = Tensor(data)
     if _GRAD_ENABLED and any(p.requires_grad for p in parents):
         out.requires_grad = True
-        out._parents = tuple(parents)
-        out._bwd = bwd
+        out._node = _Node(tuple((p._node or p) if p.requires_grad else None
+                                for p in parents), bwd, out._id)
     return out
+
+
+def _shape_if_grad(t):
+    """``t``'s shape when ``t`` needs a gradient, else ``None``."""
+    return t.shape if t.requires_grad else None
 
 
 def _unbroadcast(g, shape):
@@ -113,10 +163,11 @@ def add(a, b):
         out = a.data + b.data
     except ValueError:
         raise ShapeError(f"add: shapes {a.shape} and {b.shape} do not broadcast") from None
+    sa, sb = _shape_if_grad(a), _shape_if_grad(b)
 
     def bwd(g):
-        ga = _unbroadcast(g, a.shape) if a.requires_grad else None
-        gb = _unbroadcast(g, b.shape) if b.requires_grad else None
+        ga = None if sa is None else _unbroadcast(g, sa)
+        gb = None if sb is None else _unbroadcast(g, sb)
         return ga, gb
 
     return _record(out, (a, b), bwd)
@@ -127,10 +178,11 @@ def sub(a, b):
         out = a.data - b.data
     except ValueError:
         raise ShapeError(f"sub: shapes {a.shape} and {b.shape} do not broadcast") from None
+    sa, sb = _shape_if_grad(a), _shape_if_grad(b)
 
     def bwd(g):
-        ga = _unbroadcast(g, a.shape) if a.requires_grad else None
-        gb = _unbroadcast(-g, b.shape) if b.requires_grad else None
+        ga = None if sa is None else _unbroadcast(g, sa)
+        gb = None if sb is None else _unbroadcast(-g, sb)
         return ga, gb
 
     return _record(out, (a, b), bwd)
@@ -141,10 +193,14 @@ def mul(a, b):
         out = a.data * b.data
     except ValueError:
         raise ShapeError(f"mul: shapes {a.shape} and {b.shape} do not broadcast") from None
+    sa, sb = a.shape, b.shape
+    # each operand's grad reads the other operand's array
+    bd = b.data if a.requires_grad else None
+    ad = a.data if b.requires_grad else None
 
     def bwd(g):
-        ga = _unbroadcast(g * b.data, a.shape) if a.requires_grad else None
-        gb = _unbroadcast(g * a.data, b.shape) if b.requires_grad else None
+        ga = None if bd is None else _unbroadcast(g * bd, sa)
+        gb = None if ad is None else _unbroadcast(g * ad, sb)
         return ga, gb
 
     return _record(out, (a, b), bwd)
@@ -168,13 +224,13 @@ def matmul(a, b):
         out = a.data @ b.data
     except ValueError:
         raise ShapeError(f"matmul: batch dims of {a.shape} and {b.shape} do not broadcast") from None
+    sa, sb = a.shape, b.shape
+    bd = b.data if a.requires_grad else None
+    ad = a.data if b.requires_grad else None
 
     def bwd(g):
-        ga = gb = None
-        if a.requires_grad:
-            ga = _unbroadcast(g @ b.data.swapaxes(-1, -2), a.shape)
-        if b.requires_grad:
-            gb = _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.shape)
+        ga = None if bd is None else _unbroadcast(g @ bd.swapaxes(-1, -2), sa)
+        gb = None if ad is None else _unbroadcast(ad.swapaxes(-1, -2) @ g, sb)
         return ga, gb
 
     return _record(out, (a, b), bwd)
@@ -195,9 +251,10 @@ def reshape(a, shape):
         out = a.data.reshape(shape).copy()
     except ValueError:
         raise ShapeError(f"reshape: cannot view {a.shape} as {shape}") from None
+    in_shape = a.shape
 
     def bwd(g):
-        return (g.reshape(a.data.shape),)
+        return (g.reshape(in_shape),)
 
     return _record(out, (a,), bwd)
 
@@ -212,13 +269,13 @@ def concat_last_dim(parts):
             raise ShapeError(
                 f"concat_last_dim: leading dims differ, {parts[0].shape} vs {p.shape}")
     out = np.concatenate([p.data for p in parts], axis=-1)
-    widths = [p.shape[-1] for p in parts]
+    widths = [(p.shape[-1], p.requires_grad) for p in parts]
 
     def bwd(g):
         grads = []
         lo = 0
-        for p, w in zip(parts, widths):
-            grads.append(g[..., lo:lo + w] if p.requires_grad else None)
+        for w, needs_grad in widths:
+            grads.append(g[..., lo:lo + w] if needs_grad else None)
             lo += w
         return tuple(grads)
 
@@ -235,13 +292,17 @@ def narrow(a, axis, start, stop):
     idx[axis] = slice(start, stop)
     idx = tuple(idx)
     whole = stop - start == dim
+    in_shape = a.shape
+    # the scatter buffer takes the layout of ``a``, as zeros_like gives it;
+    # a C-contiguous ``a`` (every one the models make) needs only its shape
+    strided = None if a.data.flags.c_contiguous else a.data
 
     def bwd(g):
         if whole:
             # numpy's matmul rounds differently on a strided operand, so
             # keep the C layout the scatter below would have given
             return (np.ascontiguousarray(g),)
-        z = np.zeros_like(a.data)
+        z = np.zeros(in_shape) if strided is None else np.zeros_like(strided)
         z[idx] = g
         return (z,)
 
@@ -249,16 +310,17 @@ def narrow(a, axis, start, stop):
 
 
 def sum_axis(a, axis=None):
+    in_shape = a.shape
     if axis is None:
         out = a.data.sum()
 
         def bwd(g):
-            return (np.broadcast_to(g, a.data.shape),)
+            return (np.broadcast_to(g, in_shape),)
     else:
         out = a.data.sum(axis=axis)
 
         def bwd(g):
-            return (np.broadcast_to(np.expand_dims(g, axis), a.data.shape),)
+            return (np.broadcast_to(np.expand_dims(g, axis), in_shape),)
 
     return _record(out, (a,), bwd)
 
@@ -267,16 +329,17 @@ def mean_axis(a, axis=None):
     n = a.data.size if axis is None else a.data.shape[axis]
     if n == 0:
         raise ShapeError("mean_axis: empty reduction")
+    in_shape = a.shape
     if axis is None:
         out = a.data.mean()
 
         def bwd(g):
-            return (np.broadcast_to(g / n, a.data.shape),)
+            return (np.broadcast_to(g / n, in_shape),)
     else:
         out = a.data.mean(axis=axis)
 
         def bwd(g):
-            return (np.broadcast_to(np.expand_dims(g, axis) / n, a.data.shape),)
+            return (np.broadcast_to(np.expand_dims(g, axis) / n, in_shape),)
 
     return _record(out, (a,), bwd)
 
@@ -399,10 +462,11 @@ def gelu(a):
 
 
 def relu(a):
-    out = np.maximum(a.data, 0.0)
+    x = a.data
+    out = np.maximum(x, 0.0)
 
     def bwd(g):
-        return (g * (a.data > 0.0),)
+        return (g * (x > 0.0),)
 
     return _record(out, (a,), bwd)
 
@@ -417,10 +481,12 @@ def tanh(a):
 
 
 def square(a):
-    def bwd(g):
-        return (g * 2.0 * a.data,)
+    x = a.data
 
-    return _record(a.data ** 2, (a,), bwd)
+    def bwd(g):
+        return (g * 2.0 * x,)
+
+    return _record(x ** 2, (a,), bwd)
 
 
 def sqrt(a):
@@ -436,43 +502,49 @@ def backward(root):
     """Accumulate d(root)/d(leaf) into ``grad`` of every requires_grad leaf
     reachable from ``root``.
 
-    A leaf is a tensor no op produced (it has no backward closure).
-    Intermediates never get a ``grad``: each one's gradient is dropped as
-    soon as its closure has consumed it.  Gradients accumulate additively,
-    both across fan-out within one call and across repeated calls; use
-    ``zero_grads`` between steps.  The graph itself is left intact, so a
-    second call on the same root adds the same gradients again.
+    The walk goes over nodes (``_Node``), not tensors: from the root's
+    node through each node's ``parents`` to the leaf tensors, which are
+    the only tensors the graph holds.  Intermediates never get a
+    ``grad``: each node's gradient is dropped as soon as its closure has
+    consumed it.  Gradients accumulate additively, both across fan-out
+    within one call and across repeated calls; use ``zero_grads`` between
+    steps.  The graph itself is left intact, so a second call on the same
+    root adds the same gradients again.
     """
     if root.data.size != 1:
         raise ValueError(f"backward: root must be scalar, got shape {root.shape}")
     if not root.requires_grad:
         raise ValueError("backward: root does not participate in a differentiation graph")
 
-    nodes = [root]
-    seen = {id(root)}
+    start = root._node or root
+    nodes = [start]
+    seen = {id(start)}
     i = 0
     while i < len(nodes):
-        for p in nodes[i]._parents:
-            if p.requires_grad and id(p) not in seen:
+        n = nodes[i]
+        i += 1
+        if isinstance(n, Tensor):  # a leaf
+            continue
+        for p in n.parents:
+            if p is not None and id(p) not in seen:
                 seen.add(id(p))
                 nodes.append(p)
-        i += 1
-    nodes.sort(key=lambda t: t._id, reverse=True)
+    nodes.sort(key=lambda n: n._id, reverse=True)
 
-    # Every consumer of a tensor was created after it, so by the time a
-    # tensor comes up in this order its flow is complete.
-    flow = {id(root): np.ones_like(root.data)}
-    for t in nodes:
-        g = flow.pop(id(t), None)
+    # Every consumer of a node was created after it, so by the time a
+    # node comes up in this order its flow is complete.
+    flow = {id(start): np.ones_like(root.data)}
+    for n in nodes:
+        g = flow.pop(id(n), None)
         if g is None:
             continue
-        if t._bwd is None:
-            if t.grad is None:
-                t.grad = np.zeros_like(t.data)
-            t.grad += g
+        if isinstance(n, Tensor):  # a leaf
+            if n.grad is None:
+                n.grad = np.zeros_like(n.data)
+            n.grad += g
             continue
-        for p, pg in zip(t._parents, t._bwd(g)):
-            if pg is None or not p.requires_grad:
+        for p, pg in zip(n.parents, n.bwd(g)):
+            if pg is None or p is None:
                 continue
             held = flow.get(id(p))
             flow[id(p)] = pg if held is None else held + pg

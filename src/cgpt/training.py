@@ -15,7 +15,7 @@ from .tensor import Tensor, backward, mean_axis, no_grad, square, zero_grads
 
 
 class DivergenceError(RuntimeError):
-    """Training produced a non-finite loss or gradient."""
+    """A model produced a non-finite loss, gradient, forecast or metric."""
 
 
 @dataclass(frozen=True)
@@ -31,7 +31,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.lr <= 0 or self.batch_size < 1 or self.max_epochs < 1 or self.patience < 1:
+        if (not 0 < self.lr < math.inf or self.batch_size < 1 or self.max_epochs < 1
+                or self.patience < 1):
             raise ValueError(f"invalid training configuration: {self}")
 
 
@@ -101,15 +102,23 @@ def mse_loss(forecast, target):
 
 
 def evaluate(model, batches, revin=False):
-    """Mean absolute / squared error over a stream of WindowBatch blocks."""
+    """Mean absolute / squared error over a stream of WindowBatch blocks.
+
+    Raises DivergenceError, naming the 0-based batch index, as soon as a
+    batch's forecast is not finite or the squared-error sum overflows.
+    Both metrics are then finite: a finite sum of squares bounds every
+    error, and so the sum of their absolute values.
+    """
     abs_sum = sq_sum = 0.0
     count = 0
     with no_grad():
-        for batch in batches:
+        for i, batch in enumerate(batches):
             diff = model.forward(batch, revin=revin).data - batch.target_future
             abs_sum += np.abs(diff).sum()
             sq_sum += (diff * diff).sum()
             count += diff.size
+            if not math.isfinite(sq_sum):
+                raise DivergenceError(f"non-finite forecast or squared error in batch {i}")
     if count == 0:
         raise ValueError("evaluate: empty window stream")
     return float(abs_sum / count), float(sq_sum / count)
@@ -153,11 +162,14 @@ def train(model, dataset, cfg):
     optimizer = AdamW(model.parameters(), cfg)
     params = optimizer.params
 
-    def eval_split(split):
+    def eval_split(split, what):
         stream = iter_window_batches(dataset.values, split, l_ctx, h_pred,
                                      dataset.target, contexts, cfg.batch_size,
                                      allow_context_overlap=True)
-        return evaluate(model, stream, revin=cfg.revin)
+        try:
+            return evaluate(model, stream, revin=cfg.revin)
+        except DivergenceError as err:
+            raise DivergenceError(f"non-finite {what}: {err}") from None
 
     best_val = math.inf
     best_state = None
@@ -184,9 +196,7 @@ def train(model, dataset, cfg):
             count += fut.size
         train_losses.append(sq_sum / count)
 
-        _, val_mse = eval_split(val_split)
-        if not math.isfinite(val_mse):
-            raise DivergenceError(f"non-finite validation loss at epoch {epoch}")
+        _, val_mse = eval_split(val_split, f"validation loss at epoch {epoch}")
         val_losses.append(val_mse)
         if val_mse < best_val:
             best_val = val_mse
@@ -201,7 +211,7 @@ def train(model, dataset, cfg):
     for name, p in params.items():
         p.data = best_state[name].copy()
 
-    test_mae, test_mse = eval_split(test_split)
+    test_mae, test_mse = eval_split(test_split, "test metric")
     return RunResult(seed=cfg.seed, best_epoch=best_epoch, epochs_run=epochs_run,
                      test_mae=test_mae, test_mse=test_mse,
                      train_losses=train_losses, val_losses=val_losses,

@@ -5,6 +5,7 @@ emitted files, and captured output; no subprocesses.
 """
 
 import csv
+import hashlib
 from pathlib import Path
 
 import numpy as np
@@ -92,6 +93,23 @@ def test_gen_data_csv_loads_back_exactly(tmp_path):
     direct = generate_additive(SyntheticConfig(seed=3))
     assert reloaded.channel_names == direct.channel_names
     np.testing.assert_array_equal(reloaded.values, direct.values)
+
+
+# sha256 of gen-data CSVs; csv writes every float with repr.  2500 rows
+# span several of the blocks gen-data writes at a time.
+GEN_DATA_CSV_SHA256 = {
+    ("additive", 0, 600): "9adaee36915426c894577622adab3e2720f950d8053def50a4f12315c9e133f0",
+    ("interactive", 3, 600): "aca1b1f020625e9848ce45a3ee48069f69eb940cae0887a6ab718bb65dfe6acb",
+    ("additive", 0, 2500): "ff9db9125358a4229a60802eaa97f3c25b500ead9a15852d3a6b09314a9a0df9",
+}
+
+
+@pytest.mark.parametrize("kind,seed,length", list(GEN_DATA_CSV_SHA256))
+def test_gen_data_csv_matches_pinned_bytes(tmp_path, kind, seed, length):
+    out = tmp_path / "data.csv"
+    assert main(["gen-data", "--dataset", kind, "--seed", str(seed), "--length", str(length),
+                 "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GEN_DATA_CSV_SHA256[kind, seed, length]
 
 
 def test_gen_data_unwritable_path_is_runtime_error(tmp_path, capsys):
@@ -196,6 +214,19 @@ def test_unknown_model_in_config_is_usage_error(tmp_path, capsys):
     assert "valid ids" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key,value", [
+    ("lr", "nan"), ("lr", "inf"), ("lr", "1e400"), ("lr", "-1"), ("lr", "0"),
+    ("batch", "0"), ("max_epochs", "0"), ("patience", "-2"),
+])
+def test_bad_training_hyperparameter_is_usage_error(tmp_path, capsys, key, value):
+    cfg = write_tiny_config(tmp_path, f"{key}={value}\n")
+    line = TINY.count("\n") + 1
+    assert main(["train", "--config", cfg, "--dataset", "additive", "--model", "dlinear",
+                 "--seeds", "0", "--out", str(tmp_path / "runs")]) == 1
+    assert f"{cfg}:{line}: config key {key}: " in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
 def test_missing_dataset_is_usage_error(tmp_path, capsys):
     assert main(["train", "--model", "leaky", "--out", str(tmp_path)]) == 1
     assert "--dataset" in capsys.readouterr().err
@@ -295,6 +326,19 @@ def test_eval_rejects_checkpoint_with_non_finite_weight(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "test_mae" not in captured.out
     assert f"{ckpt}: entry 'trend.b' holds non-finite value nan" in captured.err
+
+
+def test_eval_of_overflowing_forecast_is_runtime_error(tmp_path, capsys):
+    model = DLinearModel(96, 1)
+    for p in model.params.values():
+        p.data[:] = 1e300
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(ckpt, model.config_header(), model.parameters())
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["eval", "--checkpoint", str(ckpt), "--dataset", "additive"]) == 2
+    captured = capsys.readouterr()
+    assert "test_mse" not in captured.out
+    assert "non-finite forecast or squared error in batch 0" in captured.err
 
 
 def test_eval_config_value_of_wrong_type_is_usage_error(tmp_path, capsys):

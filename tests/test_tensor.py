@@ -1,3 +1,4 @@
+import inspect
 import math
 import os
 import signal
@@ -6,6 +7,7 @@ import sys
 import threading
 import time
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -319,6 +321,124 @@ def test_backward_writes_grad_on_leaves_only():
     assert np.array_equal(x.grad, dy * w.data)
     assert np.array_equal(w.grad, dy * x.data)
     assert np.array_equal(b.grad, dy.sum(keepdims=True))
+
+
+def test_narrow_scatter_keeps_the_layout_of_a_strided_input():
+    # matmul rounds by operand layout, so the gradient's layout is kept:
+    # C order for a C-contiguous input, the input's own order otherwise
+    g = np.ones((3, 2))
+    c_in = Tensor(np.zeros((3, 4)), requires_grad=True)
+    (z,) = narrow(c_in, -1, 1, 3)._bwd(g)
+    assert z.flags.c_contiguous and np.array_equal(z[:, 1:3], g)
+    f_in = Tensor(np.asfortranarray(np.zeros((3, 4))), requires_grad=True)
+    (z,) = narrow(f_in, -1, 1, 3)._bwd(g)
+    assert z.flags.f_contiguous and not z.flags.c_contiguous
+    assert np.array_equal(z[:, 1:3], g)
+
+
+# ---------------------------------------------------------------- graph memory
+
+def test_intermediate_no_backward_reads_is_freed_and_grads_keep_their_bits():
+    rng = np.random.default_rng(3)
+    x = Tensor(rng.standard_normal((5, 4)))
+    w = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+    b = Tensor(rng.standard_normal(3), requires_grad=True)
+    kept = []
+
+    def loss_of(keep):
+        """sum((x @ w + b)^2); the matmul output's tensor is dropped unless kept."""
+        h = matmul(x, w)
+        if keep:
+            kept.append(h)
+        return sum_axis(T.square(h + b)), weakref.ref(h.data)
+
+    loss, h_data = loss_of(keep=False)
+    # the bias add saves only shapes, so nothing holds the matmul output
+    assert h_data() is None
+    backward(loss)
+    grads = w.grad.copy(), b.grad.copy()
+    zero_grads([w, b])
+
+    loss_kept, h_data = loss_of(keep=True)
+    assert h_data() is not None
+    backward(loss_kept)
+    assert loss.data.tobytes() == loss_kept.data.tobytes()
+    assert w.grad.tobytes() == grads[0].tobytes()
+    assert b.grad.tobytes() == grads[1].tobytes()
+
+
+def test_an_input_matmul_saved_stays_alive_until_the_graph_goes():
+    rng = np.random.default_rng(4)
+    x = Tensor(rng.standard_normal((5, 4)))
+    w = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+    x_data = x.data.copy()
+    ref = weakref.ref(x.data)
+    loss = sum_axis(matmul(x, w))
+    del x
+    assert ref() is not None  # w's gradient reads it
+    backward(loss)
+    assert np.array_equal(w.grad, x_data.T @ np.ones((5, 3)))
+    del loss
+    assert ref() is None
+
+
+def _op_calls(rng):
+    """name -> (op call on grad-requiring inputs) for every autodiff op."""
+    def t(*shape):
+        return Tensor(rng.standard_normal(shape), requires_grad=True)
+
+    return {
+        "add": lambda: T.add(t(2, 3), t(3)),
+        "sub": lambda: T.sub(t(2, 3), t(3)),
+        "mul": lambda: T.mul(t(2, 3), t(3)),
+        "scale": lambda: T.scale(t(2, 3), 0.5),
+        "matmul": lambda: matmul(t(2, 3), t(3, 4)),
+        "transpose_last_two": lambda: transpose_last_two(t(2, 3)),
+        "reshape": lambda: reshape(t(2, 3), (3, 2)),
+        "concat_last_dim": lambda: concat_last_dim([t(2, 3), Tensor(np.ones((2, 1))), t(2, 2)]),
+        "narrow": lambda: narrow(t(2, 3), -1, 1, 2),
+        "sum_axis": lambda: sum_axis(t(2, 3), axis=0),
+        "mean_axis": lambda: mean_axis(t(2, 3)),
+        "softmax_last_dim": lambda: softmax_last_dim(t(2, 3)),
+        "layer_norm_last_dim": lambda: layer_norm_last_dim(t(2, 3)),
+        "gelu": lambda: T.gelu(t(2, 3)),
+        "relu": lambda: T.relu(t(2, 3)),
+        "tanh": lambda: T.tanh(t(2, 3)),
+        "square": lambda: T.square(t(2, 3)),
+        "sqrt": lambda: T.sqrt(T.square(t(2, 3))),
+    }
+
+
+def _holds_tensor(value):
+    if isinstance(value, Tensor):
+        return True
+    if isinstance(value, (list, tuple, set, frozenset)):
+        return any(_holds_tensor(v) for v in value)
+    if isinstance(value, dict):
+        return any(_holds_tensor(v) for v in value.values())
+    return False
+
+
+def test_no_backward_closure_holds_a_tensor():
+    calls = _op_calls(np.random.default_rng(5))
+    not_ops = {"backward", "zero_grads", "grad_check", "no_grad"}
+    public = {name for name, fn in vars(T).items()
+              if inspect.isfunction(fn) and fn.__module__ == T.__name__
+              and not name.startswith("_")}
+    assert public - not_ops == set(calls), "a new op needs an entry in _op_calls"
+    for name, call in calls.items():
+        out = call()
+        cells = [c.cell_contents for c in out._bwd.__closure__ or ()]
+        assert not any(_holds_tensor(v) for v in cells), name
+        # the node refers to leaves that need gradients, never to a no-grad input
+        assert all(p.requires_grad for p in out._parents if isinstance(p, Tensor)), name
+
+
+def test_concat_node_refers_to_no_grad_part_as_none():
+    a = Tensor(np.ones((2, 1)), requires_grad=True)
+    out = concat_last_dim([a, Tensor(np.ones((2, 1)))])
+    assert out._parents == (a, None)
+    assert transpose_last_two(out)._parents == (out._node,)
 
 
 def test_concat_has_no_cross_talk():

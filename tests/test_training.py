@@ -1,5 +1,6 @@
 import gc
 import math
+import tracemalloc
 import weakref
 from dataclasses import replace
 
@@ -16,14 +17,15 @@ from cgpt.datasets import (
 )
 from cgpt.layers import EncoderConfig
 from cgpt.model import CgptConfig, CgptModel, Variant
-from cgpt.preprocessing import PatchConfig, WindowBatch, iter_window_batches
-from cgpt.tensor import Tensor
+from cgpt.preprocessing import PatchConfig, WindowBatch, iter_window_batches, window_starts
+from cgpt.tensor import Tensor, backward
 from cgpt.training import (
     AdamW,
     DivergenceError,
     TrainConfig,
     cosine_lr,
     evaluate,
+    mse_loss,
     parse_record,
     result_record,
     run_seeds,
@@ -183,6 +185,33 @@ def test_evaluate_empty_stream():
         evaluate(_Stub(), iter(()))
 
 
+class _BlowsUpAt(_Stub):
+    """A perfect forecast, except ``bad`` in every element of call ``at``."""
+
+    def __init__(self, at, bad):
+        super().__init__()
+        self.at, self.bad, self.calls = at, bad, 0
+
+    def forward(self, batch, revin=False):
+        self.calls += 1
+        if self.calls - 1 == self.at:
+            return Tensor(np.full(batch.target_future.shape, self.bad))
+        return super().forward(batch, revin)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200])
+def test_evaluate_names_the_batch_of_a_non_finite_forecast_or_metric(bad):
+    # 1e200 is a finite forecast whose squared error overflows
+    with np.errstate(over="ignore"), pytest.raises(DivergenceError, match="in batch 1$"):
+        evaluate(_BlowsUpAt(1, bad), _stream())
+
+
+def test_train_config_rejects_non_finite_lr():
+    for lr in (math.nan, math.inf, -1.0, 0.0):
+        with pytest.raises(ValueError, match="invalid training configuration"):
+            TrainConfig(lr=lr)
+
+
 # ---------------------------------------------------------------- train loop
 
 def zeroed_dlinear(l_ctx=16, h_pred=1):
@@ -273,6 +302,56 @@ def test_divergent_run_aborts_with_location():
     with np.errstate(over="ignore"):
         with pytest.raises(DivergenceError, match="epoch 1"):
             train(model, ds, TrainConfig(batch_size=64))
+
+
+@pytest.mark.parametrize("split", ["validation", "test"])
+def test_non_finite_evaluation_in_train_is_a_divergence(split):
+    ds = small_additive()
+    model = DLinearModel(32, 1, seed=0)
+    val_batches = -(-len(window_starts(ds.borders[1], 32, 1, allow_context_overlap=True)) // 64)
+    first_bad = 0 if split == "validation" else val_batches
+    forward, evals = model.forward, []
+
+    def blows_up_in_eval(batch, revin=False):
+        out = forward(batch, revin=revin)
+        if out.requires_grad:  # a training step
+            return out
+        evals.append(batch)
+        return out if len(evals) <= first_bad else Tensor(np.full(out.shape, np.nan))
+
+    model.forward = blows_up_in_eval
+    message = ("non-finite validation loss at epoch 1: " if split == "validation"
+               else "non-finite test metric: ")
+    with pytest.raises(DivergenceError, match=message + "non-finite forecast .* in batch 0"):
+        train(model, ds, TrainConfig(batch_size=64, max_epochs=1, patience=1))
+
+
+def test_wide_training_step_peak_memory_is_bounded():
+    """One strict step at the benchmark's wide shape: 32 channels, no
+    graph (31 contexts), 4 heads, revin.  Its graph has ~2200 nodes.
+    Keeping every intermediate array until the step ends peaks at ~34 MiB;
+    keeping only what backward reads, at ~15 MiB."""
+    enc = EncoderConfig(d_model=16, d_ff=32, n_heads=4, e_layers=1, patch=PatchConfig(8, 8))
+    model = CgptModel(CgptConfig(enc, 48, 24, Variant.STRICT_PAIRWISE), seed=0)
+    rng = np.random.default_rng(0)
+    batch = WindowBatch(rng.standard_normal((32, 48, 32)), rng.standard_normal((32, 24)),
+                        31, tuple(range(31)))
+    optimizer = AdamW(model.parameters(), TrainConfig())
+
+    def step():
+        optimizer.zero_grads()
+        backward(mse_loss(model.forward(batch, revin=True), batch.target_future))
+        optimizer.step(1e-3)
+
+    step()  # warm up, so that no one-time set-up is measured
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        step()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2 ** 20, f"{peak / 2 ** 20:.1f} MiB"
 
 
 def test_every_model_family_learns_in_one_epoch():
