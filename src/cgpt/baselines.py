@@ -6,7 +6,7 @@ import numpy as np
 
 from .checkpoint import header_value
 from .layers import glorot_uniform, load_param_arrays
-from .preprocessing import revin_normalize
+from .preprocessing import revin_forecast
 from .tensor import Tensor, matmul, relu, reshape
 
 
@@ -73,25 +73,16 @@ class DLinearModel(_Baseline):
             "seasonal.b": Tensor(np.zeros(h_pred), requires_grad=True),
         }
 
-    def decompose(self, series):
-        """numpy helper: (batch, l_ctx) -> (trend, remainder)."""
-        trend = series @ self._avg.data
-        return trend, series - trend
-
     def forward(self, batch, revin=False):
-        series = np.ascontiguousarray(batch.context[:, :, batch.target_channel])
-        stats = None
-        if revin:
-            series, stats = revin_normalize(series)
-        x = Tensor(series)
-        trend = matmul(x, self._avg)
-        remainder = x - trend
-        p = self.params
-        forecast = (matmul(trend, p["trend.w"]) + p["trend.b"]) \
-            + (matmul(remainder, p["seasonal.w"]) + p["seasonal.b"])
-        if revin:
-            forecast = forecast * Tensor(stats.stdev) + Tensor(stats.mean)
-        return forecast
+        def forecast(context):
+            x = Tensor(np.ascontiguousarray(context[:, :, batch.target_channel]))
+            trend = matmul(x, self._avg)
+            remainder = x - trend
+            p = self.params
+            return (matmul(trend, p["trend.w"]) + p["trend.b"]) \
+                + (matmul(remainder, p["seasonal.w"]) + p["seasonal.b"])
+
+        return revin_forecast(forecast, batch, revin)
 
 
 class MlpBaseline(_Baseline):
@@ -123,24 +114,17 @@ class MlpBaseline(_Baseline):
         }
 
     def forward(self, batch, revin=False):
-        context = batch.context
-        if context.shape[2] != self.n_vars:
+        n_channels = batch.context.shape[2]
+        if n_channels != self.n_vars:
             raise ValueError(
-                f"model was built for {self.n_vars} channels, batch has {context.shape[2]}")
-        stats = None
-        if revin:
-            # normalize each channel per window; remember the target's stats
-            stacked, all_stats = revin_normalize(context.transpose(0, 2, 1))
-            context = stacked.transpose(0, 2, 1)
-            stats_mean = all_stats.mean[:, batch.target_channel, :]
-            stats_stdev = all_stats.stdev[:, batch.target_channel, :]
-            stats = (stats_mean, stats_stdev)
-        # row-major flatten: time-major order, channels fastest
-        flat = reshape(Tensor(context), (context.shape[0], self.l_ctx * self.n_vars))
-        p = self.params
-        h = relu(matmul(flat, p["fc1.w"]) + p["fc1.b"])
-        h = relu(matmul(h, p["fc2.w"]) + p["fc2.b"])
-        forecast = matmul(h, p["out.w"]) + p["out.b"]
-        if revin:
-            forecast = forecast * Tensor(stats[1]) + Tensor(stats[0])
-        return forecast
+                f"model was built for {self.n_vars} channels, batch has {n_channels}")
+
+        def forecast(context):
+            # row-major flatten: time-major order, channels fastest
+            flat = reshape(Tensor(context), (context.shape[0], self.l_ctx * self.n_vars))
+            p = self.params
+            h = relu(matmul(flat, p["fc1.w"]) + p["fc1.b"])
+            h = relu(matmul(h, p["fc2.w"]) + p["fc2.b"])
+            return matmul(h, p["out.w"]) + p["out.b"]
+
+        return revin_forecast(forecast, batch, revin)

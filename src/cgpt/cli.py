@@ -56,8 +56,9 @@ _REAL_CSVS = {
 }
 
 
-class UsageError(Exception):
-    """Bad invocation (flags, config file, ids); maps to exit code 1."""
+class UsageError(argparse.ArgumentTypeError):
+    """Bad invocation (flags, config file, ids); maps to exit code 1.  When
+    a flag's converter raises it, argparse names the flag in the message."""
 
 
 @dataclass
@@ -113,6 +114,13 @@ def _positive_int(text):
     return value
 
 
+def _seed(text):
+    value = int(text)
+    if not 0 <= value < 2 ** 128:  # numpy's Philox takes keys in this range
+        raise UsageError(f"expected a seed from 0 to 2**128 - 1, got {text!r}")
+    return value
+
+
 def _model_id(text):
     if text not in MODELS:
         raise UsageError(f"unknown model id {text!r}; valid ids: {', '.join(MODEL_IDS)}")
@@ -123,11 +131,12 @@ def _model_id(text):
 # first group mirrors the train flags, which override it; the rest set data
 # loading, model and training options that have no flag.
 _CONVERTERS = {
-    "dataset": str, "model": _model_id, "context": int, "horizon": int,
+    "dataset": str, "model": _model_id, "context": _positive_int, "horizon": _positive_int,
     "revin": _parse_yes_no, "seeds": _parse_seeds, "out": str,
-    "data_seed": int, "length": int, "target": str,
-    "d_model": int, "d_ff": int, "n_heads": int, "e_layers": int, "patch_len": int,
-    "stride": int, "n_p_max": int, "kernel": int, "hidden": int,
+    "data_seed": _seed, "length": _positive_int, "target": str,
+    "d_model": _positive_int, "d_ff": _positive_int, "n_heads": _positive_int,
+    "e_layers": _positive_int, "patch_len": _positive_int, "stride": _positive_int,
+    "n_p_max": _positive_int, "kernel": _positive_int, "hidden": _positive_int,
     "lr": _positive_float, "batch": _positive_int, "max_epochs": _positive_int,
     "patience": _positive_int,
 }
@@ -290,42 +299,52 @@ def model_from_checkpoint(header, arrays):
 
 # --------------------------------------------------------------- subcommands
 
-_CSV_BLOCK_ROWS = 1024
-
-
-def cmd_gen_data(args):
-    dataset, _ = resolve_dataset(args.dataset, {"length": args.length, "data_seed": args.seed})
-
-    out = Path(args.out)
-    if out.parent != Path(""):
-        out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(dataset.channel_names)
-        # csv writes floats with repr.  Rows go in blocks, so that only one
-        # block's Python floats exist at a time, not the whole table's.
-        for lo in range(0, dataset.length, _CSV_BLOCK_ROWS):
-            writer.writerows(dataset.values[lo:lo + _CSV_BLOCK_ROWS].tolist())
-
-    sidecar = out.with_name(out.stem + ".graph.txt")
-    names = dataset.channel_names
-    edges = sorted(dataset.graph.edges)
-    sidecar.write_text("".join(f"{names[c]}->{names[e]}\n" for c, e in edges))
-
-    print(f"wrote {out} ({dataset.length} rows, {dataset.n_channels} channels)")
-    print(f"wrote {sidecar} ({len(edges)} edges)")
-    return 0
-
-
 def _write_atomic(path, write):
     """Run ``write`` on a temporary file beside ``path``, then move it into
     place, so ``path`` is either absent or complete."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     try:
         write(tmp)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+def _write_csv_atomic(path, header, row_blocks):
+    """Write ``header``, then each block of rows, to ``path`` as CSV, atomically."""
+    def write(tmp):
+        with open(tmp, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            for rows in row_blocks:
+                writer.writerows(rows)
+
+    _write_atomic(path, write)
+
+
+_CSV_BLOCK_ROWS = 1024
+
+
+def cmd_gen_data(args):
+    dataset, _ = resolve_dataset(args.dataset, {"length": args.length, "data_seed": args.seed})
+
+    # csv writes floats with repr.  Rows go in blocks, so that only one
+    # block's Python floats exist at a time, not the whole table's.
+    out = Path(args.out)
+    _write_csv_atomic(out, dataset.channel_names,
+                      (dataset.values[lo:lo + _CSV_BLOCK_ROWS].tolist()
+                       for lo in range(0, dataset.length, _CSV_BLOCK_ROWS)))
+
+    sidecar = out.with_name(out.stem + ".graph.txt")
+    names = dataset.channel_names
+    edges = sorted(dataset.graph.edges)
+    text = "".join(f"{names[c]}->{names[e]}\n" for c, e in edges)
+    _write_atomic(sidecar, lambda path: path.write_text(text))
+
+    print(f"wrote {out} ({dataset.length} rows, {dataset.n_channels} channels)")
+    print(f"wrote {sidecar} ({len(edges)} edges)")
+    return 0
 
 
 def cmd_train(args):
@@ -363,7 +382,6 @@ def cmd_train(args):
         cfg = TrainConfig(seed=seed, revin=spec.revin, **train_options)
         result = train(model, prepared, cfg)
         seed_dir = seed_dirs[seed]
-        seed_dir.mkdir(parents=True, exist_ok=True)
         header = dict(model.config_header())
         header.update(dataset=dataset.name, revin=meta["revin"], seed=seed)
         _write_atomic(seed_dir / f"model_{task}.ckpt",
@@ -516,12 +534,7 @@ def cmd_report(args):
         header.append("pure_to_leaky_mse")
 
     out = Path(args.out)
-    if out.parent != Path(""):
-        out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+    _write_csv_atomic(out, header, [rows])
     print(f"wrote {out} ({len(rows)} rows)")
     return 0
 
@@ -544,8 +557,8 @@ def build_parser():
 
     gen = sub.add_parser("gen-data", help="write a synthetic dataset to CSV")
     gen.add_argument("--dataset", required=True, choices=tuple(_GENERATORS))
-    gen.add_argument("--seed", type=int, help="generator seed (default 0)")
-    gen.add_argument("--length", type=int, help="rows to generate (default 6144)")
+    gen.add_argument("--seed", type=_seed, help="generator seed (default 0)")
+    gen.add_argument("--length", type=_positive_int, help="rows to generate (default 6144)")
     gen.add_argument("--out", required=True, help="CSV output path")
     gen.set_defaults(run=cmd_gen_data)
 
@@ -553,8 +566,8 @@ def build_parser():
     tr.add_argument("--config", help="flat key=value experiment file")
     tr.add_argument("--dataset", help="dataset id or .csv path")
     tr.add_argument("--model", choices=MODEL_IDS)
-    tr.add_argument("--context", type=int, help="history length (default 96)")
-    tr.add_argument("--horizon", type=int, help="forecast length (default 96)")
+    tr.add_argument("--context", type=_positive_int, help="history length (default 96)")
+    tr.add_argument("--horizon", type=_positive_int, help="forecast length (default 96)")
     tr.add_argument("--revin", type=_parse_yes_no, metavar="{yes,no}")
     tr.add_argument("--seeds", type=_parse_seeds,
                     help="comma-separated list, default 0,1,2,3,4")

@@ -30,7 +30,7 @@ from .layers import (
     load_param_arrays,
     pool_latent,
 )
-from .preprocessing import PatchConfig, make_patches, revin_normalize
+from .preprocessing import PatchConfig, make_patches, revin_forecast
 from .tensor import Tensor, concat_last_dim, gelu, matmul
 
 
@@ -224,27 +224,12 @@ def cgpt_forward(batch, model, revin=False):
     needs_target = cfg.variant is not Variant.PURE_INFLUENCE
     channels = ([target] if needs_target else []) + contexts
 
-    target_stats = None
-    latents = {}
-    for ch in channels:
-        series = np.ascontiguousarray(batch.context[:, :, ch])
-        if revin:
-            series, stats = revin_normalize(series)
-            if ch == target:
-                target_stats = stats
-        latents[ch] = model.encode_channel(series)
+    def forecast(context):
+        latents = {ch: model.encode_channel(np.ascontiguousarray(context[:, :, ch]))
+                   for ch in channels}
+        z_target = latents.get(target)
+        infl = [influence(z_target, latents[ch], model) for ch in contexts]
+        mixed = aggregate(z_target, infl, cfg.variant)
+        return matmul(mixed, model.head_params["w"]) + model.head_params["b"]
 
-    z_target = latents.get(target)
-    infl = [influence(z_target, latents[ch], model) for ch in contexts]
-    mixed = aggregate(z_target, infl, cfg.variant)
-    forecast = matmul(mixed, model.head_params["w"]) + model.head_params["b"]
-
-    if revin:
-        if target_stats is None:
-            # PURE_INFLUENCE never encodes the target, but forecasts still
-            # live on the target window's scale, so its stats are computed
-            # for denormalization alone.
-            _, target_stats = revin_normalize(
-                np.ascontiguousarray(batch.context[:, :, target]))
-        forecast = forecast * Tensor(target_stats.stdev) + Tensor(target_stats.mean)
-    return forecast
+    return revin_forecast(forecast, batch, revin)

@@ -1,8 +1,10 @@
 """Per-window normalization, patching, global scaling and window extraction.
 
-Everything here works on plain numpy arrays; the series axis is always the
-last one so the same code serves a single series, a (batch, length) stack
-or a (batch, channel, length) block.
+The series axis is always the last one, so the same code serves a single
+series, a (batch, length) stack or a (batch, channel, length) block.
+Everything works on plain numpy arrays except the RevIN wrapper every
+model forecasts through (``revin_forecast``) and its ``revin_denormalize``,
+which map a model's output Tensor back to the target window's scale.
 """
 
 from __future__ import annotations
@@ -10,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .tensor import Tensor
 
 REVIN_MIN_STDEV = 1e-5
 SCALER_MIN_STDEV = 1e-8
@@ -40,14 +44,27 @@ def revin_normalize(x, min_stdev=REVIN_MIN_STDEV):
 
 
 def revin_denormalize(y, stats):
-    """Map model outputs back to the original scale of their window."""
-    y = np.asarray(y, dtype=np.float64)
-    try:
-        return y * stats.stdev + stats.mean
-    except ValueError:
-        raise ValueError(
-            f"revin_denormalize: output shape {y.shape} does not broadcast "
-            f"with stats shape {stats.mean.shape}") from None
+    """Map a model's output Tensor back to the original scale of its window."""
+    return y * Tensor(stats.stdev) + Tensor(stats.mean)
+
+
+def revin_forecast(forecast, batch, revin):
+    """``forecast(context)`` on ``batch``, under RevIN when ``revin`` is set.
+
+    RevIN (Kim et al., ICLR 2022) normalizes every channel of every window
+    once, runs ``forecast`` on the normalized (batch, l_ctx, n_channels)
+    context and maps its output back with the target window's stats.  The
+    stats come from a contiguous (batch, channel, l_ctx) copy, so each
+    window's series is summed as one contiguous row.
+    """
+    if not revin:
+        return forecast(batch.context)
+    normalized, stats = revin_normalize(
+        np.ascontiguousarray(batch.context.transpose(0, 2, 1)))
+    out = forecast(normalized.transpose(0, 2, 1))
+    target = batch.target_channel
+    return revin_denormalize(
+        out, RevinStats(mean=stats.mean[:, target], stdev=stats.stdev[:, target]))
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,6 @@ hold an output's array, and each closure saves only what it reads:
   ``concat_last_dim``: the widths and which parts need a gradient;
 * ``softmax_last_dim``: its output; ``layer_norm_last_dim``: its output
   and the inverse deviations; ``gelu``: its input and inner ``tanh``;
-  ``tanh`` and ``sqrt``: their outputs;
 * ``scale``: its factor; ``transpose_last_two``: nothing.
 
 So an intermediate array that no closure saved is freed as soon as the
@@ -471,15 +470,6 @@ def relu(a):
     return _record(out, (a,), bwd)
 
 
-def tanh(a):
-    t = np.tanh(a.data)
-
-    def bwd(g):
-        return (g * (1.0 - t ** 2),)
-
-    return _record(t, (a,), bwd)
-
-
 def square(a):
     x = a.data
 
@@ -487,15 +477,6 @@ def square(a):
         return (g * 2.0 * x,)
 
     return _record(x ** 2, (a,), bwd)
-
-
-def sqrt(a):
-    r = np.sqrt(a.data)
-
-    def bwd(g):
-        return (g / (2.0 * r),)
-
-    return _record(r, (a,), bwd)
 
 
 def backward(root):

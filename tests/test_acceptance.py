@@ -62,7 +62,6 @@ def _op_cases(rng):
     """(name, f, x) triples covering every differentiable op kind."""
     x34 = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
     x43 = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
-    pos = Tensor(np.abs(rng.standard_normal((3, 4))) + 0.5, requires_grad=True)
     # keep relu inputs away from its kink, where finite differences lie
     raw = rng.standard_normal((3, 4))
     far = Tensor(np.sign(raw) * (np.abs(raw) + 0.5), requires_grad=True)
@@ -83,9 +82,7 @@ def _op_cases(rng):
         ("layer_norm", lambda t: T.sum_axis(T.mul(T.layer_norm_last_dim(t), twin)), x34),
         ("gelu", lambda t: T.sum_axis(T.gelu(t)), x34),
         ("relu", lambda t: T.sum_axis(T.square(T.relu(t))), far),
-        ("tanh", lambda t: T.sum_axis(T.tanh(t)), x34),
         ("square", lambda t: T.sum_axis(T.square(t)), x34),
-        ("sqrt", lambda t: T.sum_axis(T.sqrt(t)), pos),
     ]
 
 
@@ -125,13 +122,13 @@ def test_c02_revin_round_trip():
         window = rng.standard_normal((7, 96)) * 10.0 ** float(rng.integers(-2, 4)) \
             + rng.standard_normal()
         normalized, stats = revin_normalize(window)
-        restored = revin_denormalize(normalized, stats)
+        restored = revin_denormalize(Tensor(normalized), stats).data
         worst = max(worst, np.abs(restored - window).max())
     assert worst < 1e-9
 
     flat, stats = revin_normalize(np.full((3, 48), 5.0))
     assert np.isfinite(flat).all()
-    assert np.array_equal(revin_denormalize(flat, stats), np.full((3, 48), 5.0))
+    assert np.array_equal(revin_denormalize(Tensor(flat), stats).data, np.full((3, 48), 5.0))
 
 
 # --------------------------------------------------------------- C3

@@ -44,14 +44,6 @@ def test_moving_average_rejects_even_kernel():
         moving_average_matrix(96, 24)
 
 
-def test_decompose_is_exact_partition():
-    model = DLinearModel(l_ctx=32, h_pred=4, kernel=7)
-    rng = np.random.default_rng(1)
-    x = rng.standard_normal((5, 32))
-    trend, remainder = model.decompose(x)
-    assert np.abs((trend + remainder) - x).max() < 1e-12
-
-
 # ---------------------------------------------------------------- dlinear
 
 def test_dlinear_zero_params_forecasts_zero():

@@ -112,6 +112,34 @@ def test_gen_data_csv_matches_pinned_bytes(tmp_path, kind, seed, length):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GEN_DATA_CSV_SHA256[kind, seed, length]
 
 
+@pytest.mark.parametrize("command", ["gen-data", "report"])
+def test_write_failing_midway_leaves_neither_file_nor_tmp(tmp_path, monkeypatch, capsys, command):
+    runs = tmp_path / "runs"
+    fake_record(runs)
+    out = tmp_path / "out.csv"
+    argv = {"gen-data": ["gen-data", "--dataset", "additive", "--length", "2500"],
+            "report": ["report", "--results", str(runs), "--experiment", "2"]}[command]
+    real_writer = csv.writer
+
+    class FailingWriter:
+        """Writes the header and the first block of rows, then fails."""
+
+        def __init__(self, fh):
+            self._writer = real_writer(fh)
+
+        def writerow(self, row):
+            self._writer.writerow(row)
+
+        def writerows(self, rows):
+            self._writer.writerows(rows)
+            raise OSError("disk full")
+
+    monkeypatch.setattr(cli.csv, "writer", FailingWriter)
+    assert main([*argv, "--out", str(out)]) == 2
+    assert "disk full" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["runs"]
+
+
 def test_gen_data_unwritable_path_is_runtime_error(tmp_path, capsys):
     target = tmp_path / "occupied"
     target.mkdir()
@@ -217,6 +245,10 @@ def test_unknown_model_in_config_is_usage_error(tmp_path, capsys):
 @pytest.mark.parametrize("key,value", [
     ("lr", "nan"), ("lr", "inf"), ("lr", "1e400"), ("lr", "-1"), ("lr", "0"),
     ("batch", "0"), ("max_epochs", "0"), ("patience", "-2"),
+    ("context", "0"), ("horizon", "-1"), ("length", "0"), ("d_model", "0"), ("d_ff", "0"),
+    ("n_heads", "0"), ("e_layers", "0"), ("patch_len", "0"), ("stride", "-4"),
+    ("n_p_max", "0"), ("kernel", "0"), ("hidden", "0"),
+    ("data_seed", "-3"), ("data_seed", str(2 ** 128)),
 ])
 def test_bad_training_hyperparameter_is_usage_error(tmp_path, capsys, key, value):
     cfg = write_tiny_config(tmp_path, f"{key}={value}\n")
@@ -225,6 +257,25 @@ def test_bad_training_hyperparameter_is_usage_error(tmp_path, capsys, key, value
                  "--seeds", "0", "--out", str(tmp_path / "runs")]) == 1
     assert f"{cfg}:{line}: config key {key}: " in capsys.readouterr().err
     assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["gen-data", "--dataset", "additive", "--length", "0"],
+     "argument --length: expected an integer of at least 1, got '0'"),
+    (["gen-data", "--dataset", "additive", "--seed", "-1"],
+     "argument --seed: expected a seed from 0 to 2**128 - 1, got '-1'"),
+    (["gen-data", "--dataset", "additive", "--seed", str(2 ** 128)],
+     f"argument --seed: expected a seed from 0 to 2**128 - 1, got '{2 ** 128}'"),
+    (["train", "--dataset", "additive", "--model", "dlinear", "--context", "-5"],
+     "argument --context: expected an integer of at least 1, got '-5'"),
+    (["train", "--dataset", "additive", "--model", "dlinear", "--horizon", "0"],
+     "argument --horizon: expected an integer of at least 1, got '0'"),
+], ids=["length", "negative_seed", "seed_two_to_the_128", "context", "horizon"])
+def test_bad_integer_flag_is_usage_error(tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_missing_dataset_is_usage_error(tmp_path, capsys):

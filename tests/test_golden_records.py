@@ -7,13 +7,16 @@ with ``repr``, so a change in the last bit of any of them shows.
 
 The strings were recorded with numpy 2.4.6 on OpenBLAS (x86_64).  Another
 BLAS or numpy build may round differently; a change that moves results on
-purpose must regenerate them and say so.
+purpose must regenerate them and say so.  Running this file as a script,
+``PYTHONPATH=src python tests/test_golden_records.py``, prints the
+``GOLDEN`` dict the current code computes.
 
 The synthetic generators' outputs are pinned the same way, by the sha256
 of ``values.tobytes()``.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -125,19 +128,23 @@ GOLDEN = {
         "seed=1\n"
         "best_epoch=2\n"
         "epochs_run=2\n"
-        "test_mae=0.7087474890658821\n"
-        "test_mse=0.7882433625930436\n"
+        "test_mae=0.708747489065882\n"
+        "test_mse=0.7882433625930434\n"
         "train_losses=1.0589324740608743,0.7058550460788443\n"
         "val_losses=0.6725031799132539,0.593294627392007\n"
     ),
 }
 
 
-@pytest.fixture(scope="module")
-def data():
+def load_data():
     raw = generate_additive(SyntheticConfig(length=600, seed=3))
     prepared, _ = prepare_dataset(raw, SplitPolicy.RATIO_70_20_10, L_CTX, H_PRED)
     return prepared
+
+
+@pytest.fixture(scope="module")
+def data():
+    return load_data()
 
 
 def build(name):
@@ -148,11 +155,14 @@ def build(name):
     return CgptModel(CgptConfig(ENCODER, L_CTX, H_PRED, Variant.from_id(name)), seed=1)
 
 
+def golden_record(data, name, revin):
+    cfg = TrainConfig(lr=3e-3, batch_size=64, max_epochs=2, patience=2, revin=revin, seed=1)
+    return result_record(train(build(name), data, cfg), {"model": name})
+
+
 @pytest.mark.parametrize("name,revin", list(GOLDEN))
 def test_result_record_matches_golden_text(data, name, revin):
-    cfg = TrainConfig(lr=3e-3, batch_size=64, max_epochs=2, patience=2, revin=revin, seed=1)
-    record = result_record(train(build(name), data, cfg), {"model": name})
-    assert record == GOLDEN[name, revin]
+    assert golden_record(data, name, revin) == GOLDEN[name, revin]
 
 
 GENERATORS = {"additive": generate_additive, "interactive": generate_interactive}
@@ -173,3 +183,14 @@ GENERATOR_SHA256 = {
 def test_generator_values_match_pinned_bytes(kind, seed, length):
     values = GENERATORS[kind](SyntheticConfig(length=length, seed=seed)).values
     assert hashlib.sha256(values.tobytes()).hexdigest() == GENERATOR_SHA256[kind, seed, length]
+
+
+if __name__ == "__main__":
+    prepared = load_data()
+    print("GOLDEN = {")
+    for name, revin in GOLDEN:
+        lines = golden_record(prepared, name, revin).splitlines(keepends=True)
+        print(f"    ({json.dumps(name)}, {revin}): (")
+        print("\n".join(f"        {json.dumps(line)}" for line in lines))
+        print("    ),")
+    print("}")

@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
 
+from cgpt import baselines, model, preprocessing
+from cgpt.baselines import DLinearModel, MlpBaseline
+from cgpt.layers import EncoderConfig
+from cgpt.model import CgptConfig, CgptModel, Variant
 from cgpt.preprocessing import (
     PatchConfig,
+    RevinStats,
     WindowBatch,
     apply_standardizer,
     fit_standardizer,
@@ -13,6 +18,7 @@ from cgpt.preprocessing import (
     revin_normalize,
     window_starts,
 )
+from cgpt.tensor import Tensor
 
 
 # ---------------------------------------------------------------- revin
@@ -40,7 +46,7 @@ def test_revin_roundtrip_100_windows():
         x = rng.standard_normal(96) * scale + rng.uniform(-50, 50)
         xn, stats = revin_normalize(x)
         assert abs(xn.mean()) < 1e-9 and abs(xn.std() - 1.0) < 1e-9
-        worst = max(worst, np.abs(revin_denormalize(xn, stats) - x).max() / max(1.0, scale))
+        worst = max(worst, np.abs(revin_denormalize(Tensor(xn), stats).data - x).max() / max(1.0, scale))
     assert worst < 1e-9
 
 
@@ -48,7 +54,7 @@ def test_revin_denormalize_maps_horizon_back():
     x = np.arange(8.0)
     _, stats = revin_normalize(x)
     y = np.zeros(3)  # a zero forecast on the normalized scale is the window mean
-    assert np.allclose(revin_denormalize(y, stats), np.full(3, x.mean()))
+    assert np.allclose(revin_denormalize(Tensor(y), stats).data, np.full(3, x.mean()))
 
 
 def test_revin_batched_channels_are_independent():
@@ -65,6 +71,55 @@ def test_revin_rejects_bad_input():
         revin_normalize(np.array([1.0]))
     with pytest.raises(ValueError):
         revin_normalize(np.array([1.0, np.nan, 2.0]))
+
+
+# ------------------------------------------------------- revin_forecast
+
+MODEL_IDS = ("leaky", "strict", "pure", "dlinear", "mlp")
+
+
+def build_model(name):
+    if name == "dlinear":
+        return DLinearModel(16, 3, kernel=5, seed=2)
+    if name == "mlp":
+        return MlpBaseline(16, 3, n_vars=3, hidden=8, seed=2)
+    encoder = EncoderConfig(d_model=8, d_ff=16, n_heads=2, e_layers=1,
+                            patch=PatchConfig(4, 4), n_p_max=8)
+    return CgptModel(CgptConfig(encoder, 16, 3, Variant.from_id(name)), seed=2)
+
+
+def scaled_batch():
+    """(4, 16, 3) windows, each channel on its own scale and offset."""
+    rng = np.random.default_rng(11)
+    context = rng.standard_normal((4, 16, 3)) * [0.5, 3.0, 40.0] + [1.0, -7.0, 250.0]
+    return WindowBatch(context, rng.standard_normal((4, 3)), 2, (0, 1))
+
+
+@pytest.mark.parametrize("name", MODEL_IDS)
+def test_revin_forward_is_forecast_of_normalized_batch_denormalized(name):
+    m = build_model(name)
+    batch = scaled_batch()
+    normalized, stats = revin_normalize(np.ascontiguousarray(batch.context.transpose(0, 2, 1)))
+    plain = m.forward(WindowBatch(normalized.transpose(0, 2, 1), batch.target_future,
+                                  batch.target_channel, batch.context_channels))
+    target_stats = RevinStats(mean=stats.mean[:, 2], stdev=stats.stdev[:, 2])
+    want = revin_denormalize(plain, target_stats).data
+    assert np.array_equal(m.forward(batch, revin=True).data, want)
+
+
+@pytest.mark.parametrize("name", MODEL_IDS)
+def test_revin_normalizes_once_per_forward(monkeypatch, name):
+    shapes = []
+
+    def counted(x, *args, **kwargs):
+        shapes.append(np.shape(x))
+        return revin_normalize(x, *args, **kwargs)
+
+    for module in (preprocessing, model, baselines):
+        if hasattr(module, "revin_normalize"):
+            monkeypatch.setattr(module, "revin_normalize", counted)
+    build_model(name).forward(scaled_batch(), revin=True)
+    assert shapes == [(4, 3, 16)]
 
 
 # ---------------------------------------------------------------- patches

@@ -225,8 +225,6 @@ def test_elementwise_unary_values():
     x = np.array([-2.0, 0.0, 3.0])
     assert np.array_equal(T.relu(Tensor(x)).data, [0.0, 0.0, 3.0])
     assert np.array_equal(T.square(Tensor(x)).data, [4.0, 0.0, 9.0])
-    assert np.array_equal(T.tanh(Tensor(x)).data, np.tanh(x))
-    assert np.array_equal(T.sqrt(Tensor([4.0, 9.0])).data, [2.0, 3.0])
 
 
 def test_reductions_values():
@@ -403,9 +401,7 @@ def _op_calls(rng):
         "layer_norm_last_dim": lambda: layer_norm_last_dim(t(2, 3)),
         "gelu": lambda: T.gelu(t(2, 3)),
         "relu": lambda: T.relu(t(2, 3)),
-        "tanh": lambda: T.tanh(t(2, 3)),
         "square": lambda: T.square(t(2, 3)),
-        "sqrt": lambda: T.sqrt(T.square(t(2, 3))),
     }
 
 
@@ -553,9 +549,7 @@ def test_grad_check_every_op(seed):
         lambda t: sum_axis(T.square(softmax_last_dim(t))),
         lambda t: sum_axis(T.square(layer_norm_last_dim(t))),
         lambda t: sum_axis(T.square(T.gelu(t))),
-        lambda t: sum_axis(T.tanh(t)),
         lambda t: sum_axis(T.square(t)),
-        lambda t: sum_axis(T.sqrt(T.square(t) + Tensor(np.full((2, 3), 2.0)))),
     ]
     for f in cases:
         x = Tensor(rng.standard_normal((2, 3)) * 0.7, requires_grad=True)
