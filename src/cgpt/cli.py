@@ -33,7 +33,7 @@ from .datasets import (SplitPolicy, SyntheticConfig, generate_additive,
                        generate_interactive, load_csv, prepare_dataset)
 from .model import CausalGraph, CgptModel, Variant, select_contexts
 from .preprocessing import iter_window_batches
-from .training import (TrainConfig, evaluate, parse_record, result_record,
+from .training import (TrainConfig, evaluate, mean_std, parse_record, result_record,
                        run_seeds, train)
 
 # Model id -> class.  The classes turn a flat header of hyperparameters
@@ -45,14 +45,17 @@ _KINDS = {cls.kind: cls for cls in MODELS.values()}
 
 _GENERATORS = {"additive": generate_additive, "interactive": generate_interactive}
 
-# Real-world CSVs under CGPT_DATA_DIR: file name, and the rule that picks
-# the target column when the config file sets no ``target``.
+# Real-world CSVs under CGPT_DATA_DIR: file name, the rule that picks the
+# target column when the config file sets no ``target``, and split policy.
 _REAL_CSVS = {
+    "etth1": ("ETTh1.csv", "named 'OT'", lambda col: col == "OT",
+              SplitPolicy.ETTH1_STANDARD),
     "factory": ("continuous_factory_process.csv",
                 "containing 'Stage1.Output.Measurement0.U'",
-                lambda col: "Stage1.Output.Measurement0.U" in col),
+                lambda col: "Stage1.Output.Measurement0.U" in col,
+                SplitPolicy.RATIO_70_20_10),
     "amino": ("amino_emissions.csv", "starting with '2-Amino'",
-              lambda col: col.startswith("2-Amino")),
+              lambda col: col.startswith("2-Amino"), SplitPolicy.RATIO_70_20_10),
 }
 
 
@@ -237,17 +240,13 @@ def resolve_dataset(dataset_id, options=None):
         cfg = SyntheticConfig(**_pick(options, length="length", seed="data_seed"))
         return _GENERATORS[dataset_id](cfg), ratio
 
-    if dataset_id == "etth1":
-        path = _data_dir() / "ETTh1.csv"
-        return load_csv(path, target="OT", name="etth1"), SplitPolicy.ETTH1_STANDARD
-
     if dataset_id in _REAL_CSVS:
-        file_name, description, is_target = _REAL_CSVS[dataset_id]
+        file_name, description, is_target, policy = _REAL_CSVS[dataset_id]
         path = _data_dir() / file_name
         target = options.get("target")
         if target is None and path.exists():
             target = _first_column(path, is_target, description)
-        return load_csv(path, target=target, name=dataset_id), ratio
+        return load_csv(path, target=target, name=dataset_id), policy
 
     if dataset_id.endswith(".csv"):
         path = Path(dataset_id)
@@ -263,7 +262,7 @@ def resolve_dataset(dataset_id, options=None):
             dataset = replace(dataset, graph=graph)
         return dataset, ratio
 
-    known = ", ".join([*_GENERATORS, "etth1", *_REAL_CSVS])
+    known = ", ".join([*_GENERATORS, *_REAL_CSVS])
     raise UsageError(f"unknown dataset id {dataset_id!r}; "
                      f"valid ids: {known}, or a path to a .csv file")
 
@@ -378,7 +377,11 @@ def cmd_train(args):
     }
 
     def run_one(seed):
-        model = build_model(spec, prepared.n_channels, seed)
+        try:
+            model = build_model(spec, prepared.n_channels, seed)
+        except ValueError as err:
+            where = f"{args.config}: " if args.config else ""
+            raise UsageError(f"{where}invalid {spec.model} configuration: {err}") from None
         cfg = TrainConfig(seed=seed, revin=spec.revin, **train_options)
         result = train(model, prepared, cfg)
         seed_dir = seed_dirs[seed]
@@ -406,12 +409,15 @@ def cmd_eval(args):
     header, arrays = load_checkpoint(args.checkpoint)
     try:
         model = model_from_checkpoint(header, arrays)
+        stored_revin = _parse_yes_no(header.get("revin", "no"))
+    except UsageError as err:
+        raise ValueError(f"{args.checkpoint}: header key revin: {err}") from None
     except ValueError as err:
         raise ValueError(f"{args.checkpoint}: {err}") from None
     dataset, policy = resolve_dataset(args.dataset, options)
     prepared, _ = prepare_dataset(dataset, policy, model.l_ctx, model.h_pred)
 
-    revin = args.revin if args.revin is not None else header.get("revin", "no") == "yes"
+    revin = stored_revin if args.revin is None else args.revin
     contexts = select_contexts(prepared.graph, prepared.target,
                                range(prepared.n_channels))
     batches = iter_window_batches(prepared.values, prepared.borders[2],
@@ -460,12 +466,6 @@ def _collect_records(results_dir):
     return records
 
 
-def _mean_std(values):
-    arr = np.array(values, dtype=np.float64)
-    std = 0.0 if arr.size < 2 else float(arr.std(ddof=1))
-    return float(arr.mean()), std
-
-
 def report_rows(records, experiment):
     """Aggregate parsed records into the rows of one experiment table.
 
@@ -494,8 +494,8 @@ def report_rows(records, experiment):
 
     stats = {}
     for key, pairs in groups.items():
-        mae_mean, mae_std = _mean_std([p[0] for p in pairs])
-        mse_mean, mse_std = _mean_std([p[1] for p in pairs])
+        mae_mean, mae_std = mean_std([p[0] for p in pairs])
+        mse_mean, mse_std = mean_std([p[1] for p in pairs])
         stats[key] = (mae_mean, mae_std, mse_mean, mse_std)
 
     rows = []

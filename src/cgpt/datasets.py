@@ -216,13 +216,10 @@ def _is_float(cell):
         return False
 
 
-def split_borders(dataset, policy, l_ctx=None, h_pred=None):
-    """Three half-open (start, end) ranges for train/val/test.
-
-    When ``l_ctx`` is given, verify each split can hold at least one
-    window (validation/test contexts may reach back into the previous
-    split, targets never do).
-    """
+def split_borders(dataset, policy, l_ctx, h_pred):
+    """Three half-open (start, end) ranges for train/val/test, each checked
+    to hold at least one ``l_ctx``-to-``h_pred`` window (validation/test
+    contexts may reach back into the previous split, targets never do)."""
     t_total = dataset.length
     if policy is SplitPolicy.RATIO_70_20_10:
         b1, b2 = int(0.7 * t_total), int(0.9 * t_total)
@@ -236,10 +233,8 @@ def split_borders(dataset, policy, l_ctx=None, h_pred=None):
 
     if any(end <= start for start, end in splits):
         raise ValueError(f"dataset of {t_total} rows leaves an empty split: {splits}")
-    if l_ctx is not None:
-        horizon = 1 if h_pred is None else h_pred
-        for split, overlap in zip(splits, (False, True, True)):
-            window_starts(split, l_ctx, horizon, allow_context_overlap=overlap)
+    for split, overlap in zip(splits, (False, True, True)):
+        window_starts(split, l_ctx, h_pred, allow_context_overlap=overlap)
     return splits
 
 
@@ -257,7 +252,7 @@ def _reject_non_finite(dataset, borders):
                      f"split, row {row}, column {dataset.channel_names[col]!r}")
 
 
-def prepare_dataset(dataset, policy, l_ctx=None, h_pred=None):
+def prepare_dataset(dataset, policy, l_ctx, h_pred):
     """Attach split borders and rescale by train-split statistics.
 
     Every row of every split must be finite.

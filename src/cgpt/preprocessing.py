@@ -27,11 +27,11 @@ class RevinStats:
     stdev: np.ndarray  # (..., 1), floored
 
 
-def revin_normalize(x, min_stdev=REVIN_MIN_STDEV):
+def revin_normalize(x):
     """Normalize each series (last axis) to zero mean and unit variance.
 
-    The stdev is floored at ``min_stdev`` so constant series normalize to
-    zeros instead of dividing by zero.
+    The stdev is floored at ``REVIN_MIN_STDEV`` so constant series
+    normalize to zeros instead of dividing by zero.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] < 2:
@@ -39,7 +39,7 @@ def revin_normalize(x, min_stdev=REVIN_MIN_STDEV):
     if not np.isfinite(x).all():
         raise ValueError("revin_normalize: input contains non-finite values")
     mean = x.mean(axis=-1, keepdims=True)
-    stdev = np.maximum(x.std(axis=-1, keepdims=True), min_stdev)
+    stdev = np.maximum(x.std(axis=-1, keepdims=True), REVIN_MIN_STDEV)
     return (x - mean) / stdev, RevinStats(mean=mean, stdev=stdev)
 
 
@@ -96,11 +96,11 @@ class StandardizerStats:
     """Per-channel location/scale fitted on the training split only."""
 
     mean: np.ndarray   # (n_channels,)
-    stdev: np.ndarray  # (n_channels,), floored
+    stdev: np.ndarray  # (n_channels,), floored at SCALER_MIN_STDEV
 
 
-def fit_standardizer(values, train_range, min_stdev=SCALER_MIN_STDEV):
-    """Fit per-channel mean/stdev on rows ``train_range = (start, end)``."""
+def fit_standardizer(values, train_range):
+    """Fit per-channel mean/floored stdev on rows ``train_range = (start, end)``."""
     values = np.asarray(values, dtype=np.float64)
     start, end = train_range
     if not (0 <= start < end <= values.shape[0]):
@@ -110,7 +110,7 @@ def fit_standardizer(values, train_range, min_stdev=SCALER_MIN_STDEV):
         raise ValueError("fit_standardizer: training rows contain non-finite values")
     return StandardizerStats(
         mean=block.mean(axis=0),
-        stdev=np.maximum(block.std(axis=0), min_stdev),
+        stdev=np.maximum(block.std(axis=0), SCALER_MIN_STDEV),
     )
 
 

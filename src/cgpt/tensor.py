@@ -113,12 +113,6 @@ class Tensor:
             return scale(self, float(other))
         return mul(self, other)
 
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 @contextmanager
 def no_grad():
@@ -282,8 +276,8 @@ def concat_last_dim(parts):
 
 
 def narrow(a, axis, start, stop):
-    """Slice ``a`` along one axis; the backward scatters into zeros, or
-    passes ``g`` through (in C order) when the slice spans the whole axis."""
+    """Slice ``a`` along one axis; the backward scatters into C-order zeros,
+    or passes ``g`` through (in C order) when the slice spans the whole axis."""
     dim = a.shape[axis]
     if not (0 <= start < stop <= dim):
         raise ShapeError(f"narrow: [{start}:{stop}] out of range for axis {axis} of {a.shape}")
@@ -292,16 +286,13 @@ def narrow(a, axis, start, stop):
     idx = tuple(idx)
     whole = stop - start == dim
     in_shape = a.shape
-    # the scatter buffer takes the layout of ``a``, as zeros_like gives it;
-    # a C-contiguous ``a`` (every one the models make) needs only its shape
-    strided = None if a.data.flags.c_contiguous else a.data
 
     def bwd(g):
         if whole:
             # numpy's matmul rounds differently on a strided operand, so
             # keep the C layout the scatter below would have given
             return (np.ascontiguousarray(g),)
-        z = np.zeros(in_shape) if strided is None else np.zeros_like(strided)
+        z = np.zeros(in_shape)
         z[idx] = g
         return (z,)
 
@@ -354,12 +345,12 @@ def softmax_last_dim(a):
     return _record(s, (a,), bwd)
 
 
-def layer_norm_last_dim(a, eps=LAYER_NORM_EPS):
+def layer_norm_last_dim(a):
     """Normalize the last dim to zero mean / unit variance; no gain or bias."""
     x = a.data
     mu = x.mean(axis=-1, keepdims=True)
     var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     y = (x - mu) * inv
 
     def bwd(g):

@@ -4,7 +4,6 @@ early stopping on validation MSE with best-checkpoint restore."""
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -12,6 +11,11 @@ import numpy as np
 from .model import select_contexts
 from .preprocessing import iter_window_batches, window_starts, gather_windows, WindowBatch
 from .tensor import Tensor, backward, mean_axis, no_grad, square, zero_grads
+
+# AdamW's fixed constants (Loshchilov & Hutter, ICLR 2019)
+ADAM_BETAS = (0.9, 0.999)
+ADAM_EPS = 1e-8
+WEIGHT_DECAY = 0.01
 
 
 class DivergenceError(RuntimeError):
@@ -24,9 +28,6 @@ class TrainConfig:
     batch_size: int = 256
     max_epochs: int = 100
     patience: int = 10
-    betas: tuple = (0.9, 0.999)
-    adam_eps: float = 1e-8
-    weight_decay: float = 0.01
     revin: bool = False
     seed: int = 0
 
@@ -45,7 +46,6 @@ class RunResult:
     test_mse: float
     train_losses: list = field(default_factory=list)
     val_losses: list = field(default_factory=list)
-    wall_time: float = 0.0
 
 
 def cosine_lr(epoch, cfg):
@@ -58,9 +58,8 @@ def cosine_lr(epoch, cfg):
 class AdamW:
     """Adam with decoupled weight decay applied before the moment update."""
 
-    def __init__(self, params, cfg):
+    def __init__(self, params):
         self.params = dict(params)
-        self.cfg = cfg
         self.t = 0
         self._m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
         self._v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
@@ -69,7 +68,7 @@ class AdamW:
         zero_grads(self.params.values())
 
     def step(self, lr_t):
-        b1, b2 = self.cfg.betas
+        b1, b2 = ADAM_BETAS
         self.t += 1
         bias1 = 1.0 - b1 ** self.t
         bias2 = 1.0 - b2 ** self.t
@@ -79,7 +78,7 @@ class AdamW:
                 g = np.zeros_like(p.data)
             elif not np.isfinite(g).all():
                 raise DivergenceError(f"non-finite gradient in parameter {name!r}")
-            p.data *= 1.0 - lr_t * self.cfg.weight_decay
+            p.data *= 1.0 - lr_t * WEIGHT_DECAY
             # In place, with the rounding of m = b1*m + (1-b1)*g, v likewise,
             # and p -= lr_t * (m/bias1) / (sqrt(v/bias2) + eps): fresh arrays
             # cost page faults that outweigh the arithmetic.
@@ -90,7 +89,7 @@ class AdamW:
             v += (1.0 - b2) * g * g
             denom = v / bias2
             np.sqrt(denom, out=denom)
-            denom += self.cfg.adam_eps
+            denom += ADAM_EPS
             update = m / bias1
             update *= lr_t
             update /= denom
@@ -153,13 +152,12 @@ def train(model, dataset, cfg):
     """
     if dataset.borders is None:
         raise ValueError("dataset has no split borders; run prepare_dataset first")
-    t0 = time.perf_counter()
     l_ctx, h_pred = model.l_ctx, model.h_pred
     contexts = select_contexts(dataset.graph, dataset.target, range(dataset.n_channels))
     train_split, val_split, test_split = dataset.borders
 
     train_starts = window_starts(train_split, l_ctx, h_pred)
-    optimizer = AdamW(model.parameters(), cfg)
+    optimizer = AdamW(model.parameters())
     params = optimizer.params
 
     def eval_split(split, what):
@@ -214,8 +212,13 @@ def train(model, dataset, cfg):
     test_mae, test_mse = eval_split(test_split, "test metric")
     return RunResult(seed=cfg.seed, best_epoch=best_epoch, epochs_run=epochs_run,
                      test_mae=test_mae, test_mse=test_mse,
-                     train_losses=train_losses, val_losses=val_losses,
-                     wall_time=time.perf_counter() - t0)
+                     train_losses=train_losses, val_losses=val_losses)
+
+
+def mean_std(values):
+    """Mean and sample standard deviation; the deviation of one value is 0.0."""
+    arr = np.array(values, dtype=np.float64)
+    return float(arr.mean()), 0.0 if arr.size < 2 else float(arr.std(ddof=1))
 
 
 def run_seeds(make_run, seeds):
@@ -224,18 +227,10 @@ def run_seeds(make_run, seeds):
     if not seeds:
         raise ValueError("run_seeds: no seeds given")
     results = [make_run(seed) for seed in seeds]
-    mae = np.array([r.test_mae for r in results])
-    mse = np.array([r.test_mse for r in results])
-    single = len(seeds) == 1
-    return {
-        "mae_mean": float(mae.mean()),
-        "mae_std": 0.0 if single else float(mae.std(ddof=1)),
-        "mse_mean": float(mse.mean()),
-        "mse_std": 0.0 if single else float(mse.std(ddof=1)),
-        "n_seeds": len(seeds),
-        "single_seed": single,
-        "results": results,
-    }
+    mae_mean, mae_std = mean_std([r.test_mae for r in results])
+    mse_mean, mse_std = mean_std([r.test_mse for r in results])
+    return {"mae_mean": mae_mean, "mae_std": mae_std,
+            "mse_mean": mse_mean, "mse_std": mse_std, "n_seeds": len(seeds)}
 
 
 def result_record(result, meta):

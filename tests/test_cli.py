@@ -15,7 +15,7 @@ from cgpt import cli
 from cgpt.baselines import DLinearModel
 from cgpt.checkpoint import save_checkpoint
 from cgpt.cli import main, report_rows
-from cgpt.datasets import generate_additive, load_csv, SyntheticConfig
+from cgpt.datasets import SplitPolicy, generate_additive, load_csv, SyntheticConfig
 from cgpt.layers import EncoderConfig
 from cgpt.model import CgptConfig, CgptModel
 from cgpt.training import RunResult, result_record
@@ -278,6 +278,29 @@ def test_bad_integer_flag_is_usage_error(tmp_path, capsys, argv, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("model, extra, message", [
+    ("dlinear", "kernel=24\n", "kernel must be odd and positive, got 24"),
+    ("leaky", "n_heads=3\n", "d_model 16 not divisible by n_heads 3"),
+    ("leaky", "patch_len=200\n", "shorter than patch_len 200"),
+    ("leaky", None, "shorter than patch_len"),
+], ids=["kernel", "heads", "patch_len", "context_flag"])
+def test_config_only_a_model_rejects_is_usage_error(tmp_path, capsys, model, extra, message):
+    """Values that each pass their converter but not the model's constructor."""
+    argv = ["train", "--dataset", "additive", "--model", model, "--horizon", "1",
+            "--seeds", "0", "--out", str(tmp_path / "runs")]
+    if extra is None:
+        argv += ["--context", "8"]
+    else:
+        cfg = write_tiny_config(tmp_path, extra)
+        argv += ["--config", cfg]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert message in err
+    if extra is not None:
+        assert f"{cfg}: " in err
+    assert not (tmp_path / "runs").exists()
+
+
 def test_missing_dataset_is_usage_error(tmp_path, capsys):
     assert main(["train", "--model", "leaky", "--out", str(tmp_path)]) == 1
     assert "--dataset" in capsys.readouterr().err
@@ -302,6 +325,17 @@ def test_missing_real_dataset_file_is_runtime_error(tmp_path, monkeypatch, capsy
     assert main(["train", "--dataset", "etth1", "--model", "dlinear",
                  "--out", str(tmp_path / "runs")]) == 2
     assert "ETTh1.csv" in capsys.readouterr().err
+
+
+def test_etth1_is_a_real_csv_with_fixed_borders(tmp_path, monkeypatch):
+    monkeypatch.setenv("CGPT_DATA_DIR", str(tmp_path))
+    (tmp_path / "ETTh1.csv").write_text(
+        "date,HUFL,OT\n2016-07-01 00:00:00,5.8,30.5\n2016-07-01 01:00:00,5.7,27.8\n")
+    dataset, policy = cli.resolve_dataset("etth1")
+    assert dataset.name == "etth1" and dataset.channel_names == ("HUFL", "OT")
+    assert dataset.target == 1 and policy is SplitPolicy.ETTH1_STANDARD
+    dataset, _ = cli.resolve_dataset("etth1", {"target": "HUFL"})
+    assert dataset.target == 0
 
 
 def test_train_on_generated_csv_path_with_sidecar_graph(tmp_path):
@@ -366,6 +400,25 @@ def test_eval_header_value_of_wrong_type_names_file_and_key(tmp_path, capsys):
     save_checkpoint(ckpt, header, model.parameters())
     assert main(["eval", "--checkpoint", str(ckpt), "--dataset", "additive"]) == 2
     assert f"{ckpt}: header key d_model: cannot read '16.0' as int" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("revin, code", [("maybe", 2), ("", 2), (None, 0)])
+def test_eval_reads_the_header_revin_strictly(tmp_path, capsys, revin, code):
+    model = DLinearModel(96, 1)
+    header = model.config_header()
+    if revin is not None:
+        header["revin"] = revin
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(ckpt, header, model.parameters())
+    assert main(["eval", "--checkpoint", str(ckpt), "--dataset", "additive"]) == code
+    captured = capsys.readouterr()
+    if code:
+        assert "test_mae" not in captured.out
+        assert f"{ckpt}: header key revin: expected yes or no, got {revin!r}" in captured.err
+    else:  # a header without the key was saved without RevIN
+        assert main(["eval", "--checkpoint", str(ckpt), "--dataset", "additive",
+                     "--revin", "no"]) == 0
+        assert capsys.readouterr().out == captured.out
 
 
 def test_eval_rejects_checkpoint_with_non_finite_weight(tmp_path, capsys):

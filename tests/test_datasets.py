@@ -329,7 +329,7 @@ def test_load_csv_holds_about_one_copy_of_the_values(tmp_path, capsys):
 
 def test_ratio_borders_on_standard_length():
     ds = generate_additive(SyntheticConfig(seed=0))
-    splits = split_borders(ds, SplitPolicy.RATIO_70_20_10)
+    splits = split_borders(ds, SplitPolicy.RATIO_70_20_10, 96, 1)
     assert splits == ((0, 4300), (4300, 5529), (5529, 6144))
 
 
@@ -337,14 +337,14 @@ def test_ratio_partitions_exactly():
     for t_total in (100, 6144, 17420, 997):
         values = np.zeros((t_total, 2))
         ds = TimeSeriesDataset("x", values, ("a", "b"), 1)
-        (s0, e0), (s1, e1), (s2, e2) = split_borders(ds, SplitPolicy.RATIO_70_20_10)
+        (s0, e0), (s1, e1), (s2, e2) = split_borders(ds, SplitPolicy.RATIO_70_20_10, 1, 1)
         assert s0 == 0 and e2 == t_total
         assert e0 == s1 and e1 == s2
 
 
 def test_etth1_borders():
     ds = TimeSeriesDataset("e", np.zeros((17420, 2)), ("a", "b"), 1)
-    splits = split_borders(ds, SplitPolicy.ETTH1_STANDARD)
+    splits = split_borders(ds, SplitPolicy.ETTH1_STANDARD, 96, 1)
     assert splits == ((0, 8640), (8640, 11520), (11520, 14400))
     sizes = [e - s for s, e in splits]
     assert sizes == [8640, 2880, 2880]
@@ -353,10 +353,10 @@ def test_etth1_borders():
 def test_split_borders_window_feasibility():
     tiny = TimeSeriesDataset("t", np.zeros((10, 2)), ("a", "b"), 1)
     with pytest.raises(ValueError):
-        split_borders(tiny, SplitPolicy.RATIO_70_20_10, l_ctx=96)
+        split_borders(tiny, SplitPolicy.RATIO_70_20_10, 96, 1)
     short = TimeSeriesDataset("s", np.zeros((1000, 2)), ("a", "b"), 1)
     with pytest.raises(ValueError, match="14400"):
-        split_borders(short, SplitPolicy.ETTH1_STANDARD)
+        split_borders(short, SplitPolicy.ETTH1_STANDARD, 96, 1)
 
 
 # ---------------------------------------------------------------- preparation

@@ -2,7 +2,7 @@ import gc
 import math
 import tracemalloc
 import weakref
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -20,6 +20,9 @@ from cgpt.model import CgptConfig, CgptModel, Variant
 from cgpt.preprocessing import PatchConfig, WindowBatch, iter_window_batches, window_starts
 from cgpt.tensor import Tensor, backward
 from cgpt.training import (
+    ADAM_BETAS,
+    ADAM_EPS,
+    WEIGHT_DECAY,
     AdamW,
     DivergenceError,
     TrainConfig,
@@ -72,9 +75,16 @@ def test_cosine_range_check():
 
 # ---------------------------------------------------------------- optimizer
 
+def test_train_config_holds_only_what_callers_set():
+    # the optimizer's constants are module-level, not per-run settings
+    assert [f.name for f in fields(TrainConfig)] == [
+        "lr", "batch_size", "max_epochs", "patience", "revin", "seed"]
+    assert (ADAM_BETAS, ADAM_EPS, WEIGHT_DECAY) == ((0.9, 0.999), 1e-8, 0.01)
+
+
 def test_adamw_zero_grad_is_pure_decay():
     p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
-    opt = AdamW({"p": p}, TrainConfig())
+    opt = AdamW({"p": p})
     p.grad = np.zeros(2)
     opt.step(1e-3)
     assert np.array_equal(p.data, np.array([0.99999, -1.99998]))
@@ -82,15 +92,15 @@ def test_adamw_zero_grad_is_pure_decay():
 
 def test_adamw_missing_grad_behaves_like_zero_grad():
     p = Tensor(np.array([1.0]), requires_grad=True)
-    opt = AdamW({"p": p}, TrainConfig())
+    opt = AdamW({"p": p})
     opt.step(1e-3)
     assert np.array_equal(p.data, np.array([0.99999]))
 
 
 def test_adamw_first_step_is_signed_lr():
-    cfg = TrainConfig(weight_decay=0.0)
+    # a zero parameter stays zero under any weight decay
     p = Tensor(np.array([0.0, 0.0]), requires_grad=True)
-    opt = AdamW({"p": p}, cfg)
+    opt = AdamW({"p": p})
     p.grad = np.array([1.0, -3.0])
     opt.step(1e-3)
     assert np.abs(p.data - np.array([-1e-3, 1e-3])).max() < 1e-9
@@ -98,24 +108,24 @@ def test_adamw_first_step_is_signed_lr():
 
 def test_adamw_matches_reference_trajectory():
     """100 steps on a quadratic against an independently coded optimizer."""
-    cfg = TrainConfig(weight_decay=0.01)
+    cfg = TrainConfig()
     target = np.array([1.5, -0.5, 3.0])
     p = Tensor(np.array([0.0, 2.0, -1.0]), requires_grad=True)
-    opt = AdamW({"p": p}, cfg)
+    opt = AdamW({"p": p})
 
     ref = p.data.copy()
     m = np.zeros(3)
     v = np.zeros(3)
-    b1, b2 = cfg.betas
+    b1, b2 = ADAM_BETAS
     for t in range(1, 101):
         lr_t = cosine_lr(t - 1, cfg)
         g = ref - target  # gradient of 0.5*||x - target||^2
-        ref = ref * (1.0 - lr_t * cfg.weight_decay)
+        ref = ref * (1.0 - lr_t * WEIGHT_DECAY)
         m = b1 * m + (1 - b1) * g
         v = b2 * v + (1 - b2) * g ** 2
         m_hat = m / (1 - b1 ** t)
         v_hat = v / (1 - b2 ** t)
-        ref = ref - lr_t * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+        ref = ref - lr_t * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
         p.grad = p.data - target
         opt.step(lr_t)
@@ -123,25 +133,24 @@ def test_adamw_matches_reference_trajectory():
 
 
 def test_adamw_in_place_step_is_byte_identical_to_out_of_place_formula():
-    cfg = TrainConfig(weight_decay=0.05)
     rng = np.random.default_rng(4)
     shapes = {"w": (3, 4), "b": (4,)}
     params = {k: Tensor(rng.standard_normal(s), requires_grad=True) for k, s in shapes.items()}
-    opt = AdamW(params, cfg)
+    opt = AdamW(params)
     ref = {k: p.data.copy() for k, p in params.items()}
     m = {k: np.zeros(s) for k, s in shapes.items()}
     v = {k: np.zeros(s) for k, s in shapes.items()}
-    b1, b2 = cfg.betas
+    b1, b2 = ADAM_BETAS
     for t in range(1, 8):
         lr_t = 1e-2 / t
         for k, p in params.items():
             g = rng.standard_normal(shapes[k])
             p.grad = g
-            ref[k] = ref[k] * (1.0 - lr_t * cfg.weight_decay)
+            ref[k] = ref[k] * (1.0 - lr_t * WEIGHT_DECAY)
             m[k] = b1 * m[k] + (1.0 - b1) * g
             v[k] = b2 * v[k] + (1.0 - b2) * g * g
             ref[k] = ref[k] - lr_t * (m[k] / (1.0 - b1 ** t)) / (
-                np.sqrt(v[k] / (1.0 - b2 ** t)) + cfg.adam_eps)
+                np.sqrt(v[k] / (1.0 - b2 ** t)) + ADAM_EPS)
         opt.step(lr_t)
         for k, p in params.items():
             assert p.data.tobytes() == ref[k].tobytes(), (k, t)
@@ -149,7 +158,7 @@ def test_adamw_in_place_step_is_byte_identical_to_out_of_place_formula():
 
 def test_adamw_rejects_non_finite_grad():
     p = Tensor(np.array([1.0]), requires_grad=True)
-    opt = AdamW({"theta": p}, TrainConfig())
+    opt = AdamW({"theta": p})
     p.grad = np.array([np.nan])
     with pytest.raises(DivergenceError, match="theta"):
         opt.step(1e-3)
@@ -336,7 +345,7 @@ def test_wide_training_step_peak_memory_is_bounded():
     rng = np.random.default_rng(0)
     batch = WindowBatch(rng.standard_normal((32, 48, 32)), rng.standard_normal((32, 24)),
                         31, tuple(range(31)))
-    optimizer = AdamW(model.parameters(), TrainConfig())
+    optimizer = AdamW(model.parameters())
 
     def step():
         optimizer.zero_grads()
@@ -411,10 +420,10 @@ def test_run_seeds_aggregates_mean_and_sample_std():
     assert abs(agg["mae_mean"] - 0.2) < 1e-12
     assert abs(agg["mae_std"] - 0.1) < 1e-12  # sample std of 0.1/0.2/0.3
     assert agg["mse_std"] == 0.0  # identical metric across seeds
-    assert not agg["single_seed"]
+    assert agg["n_seeds"] == 3
 
     one = run_seeds(fake_run, [4])
-    assert one["single_seed"] and one["mae_std"] == 0.0
+    assert one["n_seeds"] == 1 and one["mae_std"] == 0.0
     with pytest.raises(ValueError):
         run_seeds(fake_run, [])
 
@@ -437,12 +446,10 @@ def test_result_record_roundtrip_and_determinism():
     from cgpt.training import RunResult
 
     result = RunResult(seed=3, best_epoch=2, epochs_run=5, test_mae=0.125,
-                       test_mse=0.015625, train_losses=[1.0, 0.5], val_losses=[0.7, 0.6],
-                       wall_time=123.4)
+                       test_mse=0.015625, train_losses=[1.0, 0.5], val_losses=[0.7, 0.6])
     meta = {"dataset": "additive", "model": "leaky", "revin": "no",
             "l_ctx": 96, "h_pred": 1}
     text = result_record(result, meta)
-    assert "wall" not in text  # timing must not break byte-identity
     parsed = parse_record(text)
     assert parsed["dataset"] == "additive"
     assert parsed["seed"] == "3"
@@ -450,8 +457,7 @@ def test_result_record_roundtrip_and_determinism():
     assert [float(v) for v in parsed["train_losses"].split(",")] == [1.0, 0.5]
 
     again = RunResult(seed=3, best_epoch=2, epochs_run=5, test_mae=0.125,
-                      test_mse=0.015625, train_losses=[1.0, 0.5], val_losses=[0.7, 0.6],
-                      wall_time=999.9)
+                      test_mse=0.015625, train_losses=[1.0, 0.5], val_losses=[0.7, 0.6])
     assert result_record(again, meta) == text
 
 
