@@ -56,8 +56,9 @@ def load_checkpoint(path):
 
     Each entry is read straight into its own array.  Every declared size is
     checked against the bytes left in the file before anything is read or
-    allocated, and an entry holding a non-finite value is rejected.  Every
-    defect raises a ValueError that names the file.
+    allocated, and an entry holding a non-finite value is rejected, as is a
+    header key or an entry name that appears twice.  Every defect raises a
+    ValueError that names the file.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -95,11 +96,15 @@ def load_checkpoint(path):
             key, sep, value = line.partition("=")
             if not sep:
                 raise ValueError(f"{path}: malformed header line {line!r}")
+            if key in config:
+                raise ValueError(f"{path}: header key {key!r} appears twice")
             config[key] = value
 
         params = {}
         for _ in range(take_u32()):
             name = take_text("entry name")
+            if name in params:
+                raise ValueError(f"{path}: entry {name!r} appears twice")
             rank = take_u32()
             shape = struct.unpack(f"<{rank}I", take(4 * rank))
             count = math.prod(shape)

@@ -14,14 +14,15 @@ import numpy as np
 from .preprocessing import PatchConfig
 from .tensor import (
     Tensor,
-    concat_last_dim,
     gelu,
     layer_norm_last_dim,
     matmul,
     mean_axis,
+    merge_heads,
     narrow,
+    reshape,
     softmax_last_dim,
-    transpose_last_two,
+    split_heads,
 )
 
 
@@ -105,24 +106,27 @@ def embed_patches(patches, params, cfg):
 
 
 def self_attention(tokens, params, layer, cfg, return_weights=False):
-    """Scaled dot-product self-attention over the patch axis."""
+    """Scaled dot-product self-attention over the patch axis.
+
+    Every head runs in the same ops: q, v and kᵀ are split into a head
+    axis, (..., h, n, d_head), so the scores, the softmax and the weighted
+    sum are one op each, whatever the head count.  ``return_weights``
+    adds the list of per-head (..., n, n) attention weights.
+    """
     pre = f"layer{layer}."
     q = matmul(tokens, params[pre + "wq"]) + params[pre + "bq"]
     k = matmul(tokens, params[pre + "wk"]) + params[pre + "bk"]
     v = matmul(tokens, params[pre + "wv"]) + params[pre + "bv"]
 
-    d_head = cfg.d_model // cfg.n_heads
-    heads, weights = [], []
-    for h in range(cfg.n_heads):
-        lo, hi = h * d_head, (h + 1) * d_head
-        qh, kh, vh = (narrow(t, -1, lo, hi) for t in (q, k, v))
-        scores = matmul(qh, transpose_last_two(kh)) * (1.0 / math.sqrt(d_head))
-        attn = softmax_last_dim(scores)
-        weights.append(attn)
-        heads.append(matmul(attn, vh))
-    merged = heads[0] if len(heads) == 1 else concat_last_dim(heads)
+    h, d_head = cfg.n_heads, cfg.d_model // cfg.n_heads
+    scores = matmul(split_heads(q, h), split_heads(k, h, transpose=True))
+    attn = softmax_last_dim(scores * (1.0 / math.sqrt(d_head)))
+    merged = merge_heads(matmul(attn, split_heads(v, h)))
     out = matmul(merged, params[pre + "wo"]) + params[pre + "bo"]
-    return (out, weights) if return_weights else out
+    if not return_weights:
+        return out
+    lead, n = attn.shape[:-3], attn.shape[-1]
+    return out, [reshape(narrow(attn, -3, i, i + 1), (*lead, n, n)) for i in range(h)]
 
 
 def _scaled_norm(x, params, key):

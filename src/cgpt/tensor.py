@@ -14,6 +14,8 @@ hold an output's array, and each closure saves only what it reads:
 * ``relu``, ``square``: the input array;
 * ``reshape``, ``narrow``, ``sum_axis``, ``mean_axis``: the input shape;
   ``concat_last_dim``: the widths and which parts need a gradient;
+  ``split_heads``: the inverse axis permutation and the input shape;
+  ``merge_heads``: the split shape;
 * ``softmax_last_dim``: its output; ``layer_norm_last_dim``: its output
   and the inverse deviations; ``gelu``: its input and inner ``tanh``;
 * ``scale``: its factor; ``transpose_last_two``: nothing.
@@ -230,6 +232,8 @@ def matmul(a, b):
 
 
 def transpose_last_two(a):
+    """Swap the last two axes, as a copy.  The models no longer call it
+    (``split_heads`` transposes k); the benchmark's tracer wraps it by name."""
     if a.data.ndim < 2:
         raise ShapeError(f"transpose_last_two: needs at least 2-D, got {a.shape}")
 
@@ -237,6 +241,42 @@ def transpose_last_two(a):
         return (g.swapaxes(-1, -2),)
 
     return _record(a.data.swapaxes(-1, -2).copy(), (a,), bwd)
+
+
+def split_heads(a, n_heads, transpose=False):
+    """(..., n, h*dh) -> a C-order copy laid out (..., h, n, dh), one
+    (n, dh) matrix per head; with ``transpose``, (..., h, dh, n), each
+    head's matrix transposed.  The backward gives a C-order (..., n, d)."""
+    if a.data.ndim < 2 or n_heads < 1 or a.shape[-1] % n_heads:
+        raise ShapeError(f"split_heads: shape {a.shape} does not split into {n_heads} heads")
+    *lead, n, d = a.shape
+    k = len(lead)
+    # axes of the (..., n, h, dh) view, in output order
+    perm = (*range(k), k + 1, k + 2, k) if transpose else (*range(k), k + 1, k, k + 2)
+    inverse = tuple(perm.index(i) for i in range(k + 3))
+    in_shape = a.shape
+
+    def bwd(g):
+        return (np.ascontiguousarray(g.transpose(inverse).reshape(in_shape)),)
+
+    return _record(a.data.reshape(*lead, n, n_heads, d // n_heads).transpose(perm).copy(),
+                   (a,), bwd)
+
+
+def merge_heads(a):
+    """(..., h, n, dh) -> (..., n, h*dh): the heads side by side, in order
+    (a copy, or with one head a view of ``a``'s array)."""
+    if a.data.ndim < 3:
+        raise ShapeError(f"merge_heads: needs at least 3-D, got {a.shape}")
+    *lead, h, n, dh = a.shape
+    split_shape = (*lead, n, h, dh)
+
+    def bwd(g):
+        # a strided view: each head's (n, dh) matrix has the strides of the
+        # column slice g[..., lo:hi], which numpy's matmul rounds as such
+        return (g.reshape(split_shape).swapaxes(-3, -2),)
+
+    return _record(a.data.swapaxes(-3, -2).reshape(*lead, n, h * dh), (a,), bwd)
 
 
 def reshape(a, shape):

@@ -224,6 +224,26 @@ def test_non_finite_entry_is_rejected_naming_file_and_entry(tmp_path):
             load_checkpoint(p)
 
 
+def raw_checkpoint(header, entries):
+    """Checkpoint bytes laid out by hand, so keys and names may repeat."""
+    blob = struct.pack("<I", len(header)) + header + struct.pack("<I", len(entries))
+    for name, values in entries:
+        arr = np.asarray(values, dtype="<f8")
+        blob += struct.pack(f"<I{len(name)}sII", len(name), name, 1, arr.size) + arr.tobytes()
+    return blob
+
+
+@pytest.mark.parametrize("header, entries, message", [
+    (b"kind=dlinear\nkind=mlp\n", [(b"w", [1.0, 1.0, 1.0])], "header key 'kind' appears twice"),
+    (b"kind=dlinear\n", [(b"w", [0.0]), (b"w", [1.0, 1.0, 1.0])], "entry 'w' appears twice"),
+], ids=["header_key", "entry_name"])
+def test_repeated_header_key_or_entry_name_is_rejected(tmp_path, header, entries, message):
+    p = tmp_path / "model.ckpt"
+    p.write_bytes(raw_checkpoint(header, entries))
+    with pytest.raises(ValueError, match=f"{p}: {message}"):
+        load_checkpoint(p)
+
+
 # ------------------------------------------------------------ memory per copy
 
 def traced_peak(fn):

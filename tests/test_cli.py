@@ -6,6 +6,7 @@ emitted files, and captured output; no subprocesses.
 
 import csv
 import hashlib
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -430,6 +431,20 @@ def test_eval_rejects_checkpoint_with_non_finite_weight(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "test_mae" not in captured.out
     assert f"{ckpt}: entry 'trend.b' holds non-finite value nan" in captured.err
+
+
+def test_eval_rejects_checkpoint_with_a_repeated_header_key(tmp_path, capsys):
+    model = DLinearModel(96, 1)
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(ckpt, model.config_header(), model.parameters())
+    blob = ckpt.read_bytes()
+    (header_len,) = struct.unpack_from("<I", blob)
+    header = blob[4:4 + header_len] + b"kind=mlp\n"
+    ckpt.write_bytes(struct.pack("<I", len(header)) + header + blob[4 + header_len:])
+    assert main(["eval", "--checkpoint", str(ckpt), "--dataset", "additive"]) == 2
+    captured = capsys.readouterr()
+    assert "test_mae" not in captured.out
+    assert f"{ckpt}: header key 'kind' appears twice" in captured.err
 
 
 def test_eval_of_overflowing_forecast_is_runtime_error(tmp_path, capsys):

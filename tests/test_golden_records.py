@@ -2,14 +2,17 @@
 
 Five models x revin yes/no are trained for two epochs on a tiny additive
 config, and each ``result_record`` must equal, byte for byte, the text
-recorded when these strings were pinned.  Every loss and metric is written
-with ``repr``, so a change in the last bit of any of them shows.
+recorded when these strings were pinned.  ``GOLDEN_MULTIHEAD`` does the
+same for the three cgpt variants with two attention heads and two encoder
+layers, so a change in how heads are split or merged shows too.  Every
+loss and metric is written with ``repr``, so a change in the last bit of
+any of them shows.
 
 The strings were recorded with numpy 2.4.6 on OpenBLAS (x86_64).  Another
 BLAS or numpy build may round differently; a change that moves results on
 purpose must regenerate them and say so.  Running this file as a script,
 ``PYTHONPATH=src python tests/test_golden_records.py``, prints the
-``GOLDEN`` dict the current code computes.
+``GOLDEN`` and ``GOLDEN_MULTIHEAD`` dicts the current code computes.
 
 The synthetic generators' outputs are pinned the same way, by the sha256
 of ``values.tobytes()``.
@@ -31,6 +34,8 @@ from cgpt.training import TrainConfig, result_record, train
 L_CTX, H_PRED = 32, 2
 ENCODER = EncoderConfig(d_model=8, d_ff=16, n_heads=1, e_layers=1,
                         patch=PatchConfig(8, 8), n_p_max=8)
+MULTIHEAD = EncoderConfig(d_model=8, d_ff=16, n_heads=2, e_layers=2,
+                          patch=PatchConfig(8, 8), n_p_max=8)
 
 GOLDEN = {
     ("leaky", False): (
@@ -135,6 +140,69 @@ GOLDEN = {
     ),
 }
 
+GOLDEN_MULTIHEAD = {
+    ("leaky", False): (
+        "model=leaky\n"
+        "seed=1\n"
+        "best_epoch=2\n"
+        "epochs_run=2\n"
+        "test_mae=0.8868590768130864\n"
+        "test_mse=1.1217220104685526\n"
+        "train_losses=2.632703653802025,1.297415134460557\n"
+        "val_losses=1.2724882292752644,0.942861817654174\n"
+    ),
+    ("leaky", True): (
+        "model=leaky\n"
+        "seed=1\n"
+        "best_epoch=2\n"
+        "epochs_run=2\n"
+        "test_mae=0.8155344127015757\n"
+        "test_mse=0.9241338118088157\n"
+        "train_losses=1.514767677888108,0.8786096584967219\n"
+        "val_losses=0.8881276484016878,0.7981206405026376\n"
+    ),
+    ("strict", False): (
+        "model=strict\n"
+        "seed=1\n"
+        "best_epoch=2\n"
+        "epochs_run=2\n"
+        "test_mae=0.9190614543722614\n"
+        "test_mse=1.2981314383935512\n"
+        "train_losses=3.4427543809976284,1.4666918418465986\n"
+        "val_losses=1.2729250286666747,1.0503569824867613\n"
+    ),
+    ("strict", True): (
+        "model=strict\n"
+        "seed=1\n"
+        "best_epoch=2\n"
+        "epochs_run=2\n"
+        "test_mae=1.0035250204997197\n"
+        "test_mse=1.3101050090116313\n"
+        "train_losses=1.8650542337395293,1.1450005707257762\n"
+        "val_losses=1.1424232384829816,1.0520686514290118\n"
+    ),
+    ("pure", False): (
+        "model=pure\n"
+        "seed=1\n"
+        "best_epoch=2\n"
+        "epochs_run=2\n"
+        "test_mae=0.5781737520404864\n"
+        "test_mse=0.5265509857299425\n"
+        "train_losses=1.361597711833609,0.810678674188803\n"
+        "val_losses=0.6568463936825136,0.5303848172912469\n"
+    ),
+    ("pure", True): (
+        "model=pure\n"
+        "seed=1\n"
+        "best_epoch=2\n"
+        "epochs_run=2\n"
+        "test_mae=0.7085588965921011\n"
+        "test_mse=0.7572735226977939\n"
+        "train_losses=1.0239214947549746,0.8539612249877832\n"
+        "val_losses=0.700291906256101,0.6667665726414426\n"
+    ),
+}
+
 
 def load_data():
     raw = generate_additive(SyntheticConfig(length=600, seed=3))
@@ -147,22 +215,27 @@ def data():
     return load_data()
 
 
-def build(name):
+def build(name, encoder=ENCODER):
     if name == "dlinear":
         return DLinearModel(L_CTX, H_PRED, kernel=5, seed=1)
     if name == "mlp":
         return MlpBaseline(L_CTX, H_PRED, n_vars=4, hidden=16, seed=1)
-    return CgptModel(CgptConfig(ENCODER, L_CTX, H_PRED, Variant.from_id(name)), seed=1)
+    return CgptModel(CgptConfig(encoder, L_CTX, H_PRED, Variant.from_id(name)), seed=1)
 
 
-def golden_record(data, name, revin):
+def golden_record(data, name, revin, encoder=ENCODER):
     cfg = TrainConfig(lr=3e-3, batch_size=64, max_epochs=2, patience=2, revin=revin, seed=1)
-    return result_record(train(build(name), data, cfg), {"model": name})
+    return result_record(train(build(name, encoder), data, cfg), {"model": name})
 
 
 @pytest.mark.parametrize("name,revin", list(GOLDEN))
 def test_result_record_matches_golden_text(data, name, revin):
     assert golden_record(data, name, revin) == GOLDEN[name, revin]
+
+
+@pytest.mark.parametrize("name,revin", list(GOLDEN_MULTIHEAD))
+def test_multihead_result_record_matches_golden_text(data, name, revin):
+    assert golden_record(data, name, revin, MULTIHEAD) == GOLDEN_MULTIHEAD[name, revin]
 
 
 GENERATORS = {"additive": generate_additive, "interactive": generate_interactive}
@@ -185,12 +258,17 @@ def test_generator_values_match_pinned_bytes(kind, seed, length):
     assert hashlib.sha256(values.tobytes()).hexdigest() == GENERATOR_SHA256[kind, seed, length]
 
 
-if __name__ == "__main__":
-    prepared = load_data()
-    print("GOLDEN = {")
-    for name, revin in GOLDEN:
-        lines = golden_record(prepared, name, revin).splitlines(keepends=True)
+def print_golden(title, data, keys, encoder):
+    print(f"{title} = {{")
+    for name, revin in keys:
+        lines = golden_record(data, name, revin, encoder).splitlines(keepends=True)
         print(f"    ({json.dumps(name)}, {revin}): (")
         print("\n".join(f"        {json.dumps(line)}" for line in lines))
         print("    ),")
     print("}")
+
+
+if __name__ == "__main__":
+    prepared = load_data()
+    print_golden("GOLDEN", prepared, GOLDEN, ENCODER)
+    print_golden("GOLDEN_MULTIHEAD", prepared, GOLDEN_MULTIHEAD, MULTIHEAD)

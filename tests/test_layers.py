@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,9 @@ from cgpt.layers import (
     self_attention,
 )
 from cgpt.preprocessing import PatchConfig
-from cgpt.tensor import Tensor, backward, grad_check, mean_axis, square, sum_axis, zero_grads
+from cgpt.tensor import (Tensor, backward, concat_last_dim, grad_check, matmul, mean_axis, mul,
+                         narrow, softmax_last_dim, square, sum_axis, transpose_last_two,
+                         zero_grads)
 
 TOY = EncoderConfig(d_model=8, d_ff=16, n_heads=2, e_layers=2,
                     patch=PatchConfig(4, 4), n_p_max=8)
@@ -113,6 +117,67 @@ def test_identical_tokens_get_identical_outputs():
     tokens = Tensor(np.tile(row, (4, 1)))
     out = self_attention(tokens, params, 0, TOY)
     assert np.abs(out.data - out.data[0]).max() < 1e-12
+
+
+def per_head_attention(tokens, params, layer, cfg):
+    """The head loop self_attention had before heads became one axis:
+    narrow q, k and v per head, transpose k, and concatenate the heads."""
+    pre = f"layer{layer}."
+    q = matmul(tokens, params[pre + "wq"]) + params[pre + "bq"]
+    k = matmul(tokens, params[pre + "wk"]) + params[pre + "bk"]
+    v = matmul(tokens, params[pre + "wv"]) + params[pre + "bv"]
+    d_head = cfg.d_model // cfg.n_heads
+    heads = []
+    for h in range(cfg.n_heads):
+        lo, hi = h * d_head, (h + 1) * d_head
+        qh, kh, vh = (narrow(t, -1, lo, hi) for t in (q, k, v))
+        scores = matmul(qh, transpose_last_two(kh)) * (1.0 / math.sqrt(d_head))
+        heads.append(matmul(softmax_last_dim(scores), vh))
+    merged = heads[0] if len(heads) == 1 else concat_last_dim(heads)
+    return matmul(merged, params[pre + "wo"]) + params[pre + "bo"]
+
+
+def heads_config(n_heads):
+    return EncoderConfig(d_model=32, d_ff=16, n_heads=n_heads, patch=PatchConfig(4, 4))
+
+
+@pytest.mark.parametrize("shape", [(3, 6, 32), (6, 32)], ids=["batched", "unbatched"])
+@pytest.mark.parametrize("n_heads", [1, 2, 4])
+def test_attention_has_the_bits_of_the_per_head_loop(n_heads, shape):
+    cfg = heads_config(n_heads)
+    params = init_encoder_params(cfg, np.random.Generator(np.random.Philox(key=n_heads)))
+    rng = np.random.default_rng(len(shape))
+    data = rng.standard_normal(shape)
+    weight = Tensor(rng.standard_normal(shape))
+
+    def run(attention):
+        zero_grads(params.values())
+        tokens = Tensor(data, requires_grad=True)
+        out = attention(tokens, params, 0, cfg)
+        backward(sum_axis(mul(out, weight)))
+        grads = {k: p.grad.tobytes() for k, p in params.items() if p.grad is not None}
+        return out.data.tobytes(), tokens.grad.tobytes(), grads
+
+    out, tokens_grad, grads = run(self_attention)
+    want_out, want_tokens_grad, want_grads = run(per_head_attention)
+    assert out == want_out
+    assert tokens_grad == want_tokens_grad
+    assert len(grads) == 8 and grads.keys() == want_grads.keys()
+    for k in grads:
+        assert grads[k] == want_grads[k], k
+
+
+@pytest.mark.parametrize("shape", [(3, 6, 32), (6, 32)], ids=["batched", "unbatched"])
+@pytest.mark.parametrize("n_heads", [1, 2, 4])
+def test_attention_is_eight_ops_for_any_head_count(n_heads, shape):
+    cfg = heads_config(n_heads)
+    params = init_encoder_params(cfg, np.random.default_rng(0))
+    tokens = Tensor(np.random.default_rng(1).standard_normal(shape))
+    first = Tensor(0.0)._id
+    self_attention(tokens, params, 0, cfg)
+    created = Tensor(0.0)._id - first - 1
+    # q, k, v and the output projection are a matmul and an add each
+    assert created == 4 * 2 + 8
 
 
 # ---------------------------------------------------------------- encoder

@@ -23,10 +23,12 @@ from cgpt.tensor import (
     layer_norm_last_dim,
     matmul,
     mean_axis,
+    merge_heads,
     narrow,
     no_grad,
     reshape,
     softmax_last_dim,
+    split_heads,
     sum_axis,
     transpose_last_two,
     zero_grads,
@@ -252,6 +254,44 @@ def test_transpose_and_reshape_copy():
     assert x.data[0, 0] == 0.0  # outputs own their storage
 
 
+def test_split_and_merge_heads_values():
+    x = np.arange(2 * 3 * 6.0).reshape(2, 3, 6)
+    heads = np.stack([x[..., 0:2], x[..., 2:4], x[..., 4:6]], axis=-3)  # (2, 3 heads, 3, 2)
+    split = split_heads(Tensor(x), 3)
+    split_t = split_heads(Tensor(x), 3, transpose=True)
+    assert np.array_equal(split.data, heads) and split.data.flags.c_contiguous
+    assert np.array_equal(split_t.data, heads.swapaxes(-1, -2)) and split_t.data.flags.c_contiguous
+    assert np.array_equal(merge_heads(split).data, x)
+    split.data[0, 0, 0, 0] = 99.0
+    assert x[0, 0, 0] == 0.0  # the split owns its storage
+
+
+def test_split_heads_rejects_a_width_the_heads_do_not_divide():
+    with pytest.raises(ShapeError, match=r"\(2, 5\).*3 heads"):
+        split_heads(Tensor(np.zeros((2, 5))), 3)
+    with pytest.raises(ShapeError):
+        split_heads(Tensor(np.zeros(6)), 2)
+    with pytest.raises(ShapeError):
+        merge_heads(Tensor(np.zeros((2, 3))))
+
+
+def test_head_gradient_layouts():
+    # matmul rounds by operand layout, so these layouts are fixed: the
+    # split's gradient is C order, like narrow's scatter; the merge's is a
+    # view whose per-head matrices have the strides of g[..., lo:hi]
+    x = Tensor(np.zeros((4, 3, 6)), requires_grad=True)
+    for transpose in (False, True):
+        out = split_heads(x, 3, transpose=transpose)
+        (gx,) = out._bwd(np.ones(out.shape))
+        assert gx.shape == x.shape and gx.flags.c_contiguous
+    g = np.arange(4 * 3 * 6.0).reshape(4, 3, 6)
+    (gh,) = merge_heads(Tensor(np.zeros((4, 3, 3, 2)), requires_grad=True))._bwd(g)
+    assert np.shares_memory(gh, g)
+    for i in range(3):
+        assert np.array_equal(gh[:, i], g[..., 2 * i:2 * i + 2])
+        assert gh[:, i].strides == g[..., 2 * i:2 * i + 2].strides
+
+
 # ---------------------------------------------------------------- backward, hand oracles
 
 def test_grad_of_sum_of_squares_is_2x():
@@ -390,6 +430,8 @@ def _op_calls(rng):
         "reshape": lambda: reshape(t(2, 3), (3, 2)),
         "concat_last_dim": lambda: concat_last_dim([t(2, 3), Tensor(np.ones((2, 1))), t(2, 2)]),
         "narrow": lambda: narrow(t(2, 3), -1, 1, 2),
+        "split_heads": lambda: split_heads(t(2, 3, 4), 2, transpose=True),
+        "merge_heads": lambda: merge_heads(t(2, 3, 2)),
         "sum_axis": lambda: sum_axis(t(2, 3), axis=0),
         "mean_axis": lambda: mean_axis(t(2, 3)),
         "softmax_last_dim": lambda: softmax_last_dim(t(2, 3)),
@@ -549,6 +591,33 @@ def test_grad_check_every_op(seed):
     for f in cases:
         x = Tensor(rng.standard_normal((2, 3)) * 0.7, requires_grad=True)
         assert grad_check(f, x) < 1e-4
+
+
+@pytest.mark.parametrize("shape", [(3, 4), (2, 3, 4)], ids=["unbatched", "batched"])
+@pytest.mark.parametrize("op", ["split", "split_transposed", "merge"])
+def test_grad_check_head_ops(op, shape):
+    """A weighted sum, not a sum of squares: a wrong axis order must show."""
+    rng = np.random.default_rng(len(shape))
+    if op == "merge":  # (..., h, n, dh) with h = 2, dh = 2
+        shape = (*shape[:-2], 2, shape[-2], 2)
+
+    def head_op(t):
+        if op == "merge":
+            return merge_heads(t)
+        return split_heads(t, 2, transpose=op == "split_transposed")
+
+    x = Tensor(rng.standard_normal(shape), requires_grad=True)
+    weight = Tensor(rng.standard_normal(head_op(x).shape))
+    assert grad_check(lambda t: sum_axis(T.mul(head_op(t), weight)), x) < 1e-6
+    x.grad = None
+    backward(sum_axis(T.mul(head_op(x), weight)))
+    # the gradient of a weighted sum is the weight, laid back out like x
+    if op == "merge":
+        back = split_heads(weight, 2).data
+    else:
+        w = weight.data.swapaxes(-1, -2) if op == "split_transposed" else weight.data
+        back = merge_heads(Tensor(w)).data
+    assert np.array_equal(x.grad, back)
 
 
 @pytest.mark.parametrize("seed", SEEDS[:5])

@@ -337,7 +337,7 @@ def test_non_finite_evaluation_in_train_is_a_divergence(split):
 
 def test_wide_training_step_peak_memory_is_bounded():
     """One strict step at the benchmark's wide shape: 32 channels, no
-    graph (31 contexts), 4 heads, revin.  Its graph has ~2200 nodes.
+    graph (31 contexts), 4 heads, revin.  Its graph has ~1400 nodes.
     Keeping every intermediate array until the step ends peaks at ~34 MiB;
     keeping only what backward reads, at ~15 MiB."""
     enc = EncoderConfig(d_model=16, d_ff=32, n_heads=4, e_layers=1, patch=PatchConfig(8, 8))
