@@ -31,8 +31,7 @@ from .baselines import DLinearModel, MlpBaseline
 from .checkpoint import load_checkpoint, save_checkpoint
 from .datasets import (SplitPolicy, SyntheticConfig, generate_additive,
                        generate_interactive, load_csv, prepare_dataset)
-from .model import CausalGraph, CgptModel, Variant, select_contexts
-from .preprocessing import iter_window_batches
+from .model import CausalGraph, CgptModel, Variant
 from .training import (TrainConfig, evaluate, mean_std, parse_record, result_record,
                        run_seeds, train)
 
@@ -146,11 +145,12 @@ _CONVERTERS = {
 
 
 def read_config(path):
-    """Flat key=value file -> dict of converted values; '#' starts a comment."""
+    """Flat key=value file -> dict of converted values; '#' starts a comment.
+    A key may appear once."""
     path = Path(path)
     if not path.exists():
         raise UsageError(f"config file not found: {path}")
-    values = {}
+    values, first_line = {}, {}
     for lineno, line in enumerate(path.read_text().splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -169,6 +169,10 @@ def read_config(path):
         except ValueError:
             raise UsageError(
                 f"{path}:{lineno}: config key {key}: cannot parse {value!r}") from None
+        if key in first_line:
+            raise UsageError(f"{path}:{lineno}: key {key!r} already set on line "
+                             f"{first_line[key]}")
+        first_line[key] = lineno
     return values
 
 
@@ -221,6 +225,8 @@ def _load_graph_sidecar(csv_path, channel_names):
         for name in (cause, effect):
             if name not in index:
                 raise ValueError(f"{sidecar}:{lineno}: unknown channel {name!r}")
+        if cause == effect:
+            raise ValueError(f"{sidecar}:{lineno}: self-loop on channel {cause!r}")
         edges.append((index[cause], index[effect]))
     return CausalGraph.from_edges(edges)
 
@@ -418,13 +424,9 @@ def cmd_eval(args):
     prepared, _ = prepare_dataset(dataset, policy, model.l_ctx, model.h_pred)
 
     revin = stored_revin if args.revin is None else args.revin
-    contexts = select_contexts(prepared.graph, prepared.target,
-                               range(prepared.n_channels))
-    batches = iter_window_batches(prepared.values, prepared.borders[2],
-                                  model.l_ctx, model.h_pred, prepared.target,
-                                  contexts, batch_size=256,
-                                  allow_context_overlap=True)
-    mae, mse = evaluate(model, batches, revin=revin)
+    # the batch size sets the order of the error sums, so score at the run's
+    mae, mse = evaluate(model, prepared, prepared.borders[2],
+                        options.get("batch", TrainConfig.batch_size), revin)
     print(f"test_mae={mae!r}")
     print(f"test_mse={mse!r}")
     return 0
@@ -581,8 +583,8 @@ def build_parser():
     ev.add_argument("--dataset", required=True, help="dataset id or .csv path")
     ev.add_argument("--revin", type=_parse_yes_no, metavar="{yes,no}",
                     help="override the setting stored in the checkpoint")
-    ev.add_argument("--config", help="key=value file; only data_seed, length "
-                                     "and target are used")
+    ev.add_argument("--config", help="key=value file; only data_seed, length, "
+                                     "target and batch are used")
     ev.set_defaults(run=cmd_eval)
 
     rep = sub.add_parser("report", help="aggregate result records into a CSV table")

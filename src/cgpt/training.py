@@ -39,13 +39,22 @@ class TrainConfig:
 
 @dataclass
 class RunResult:
+    """What one run measured.  ``epochs_run`` and ``best_epoch`` (1-based,
+    the first lowest validation loss) follow from ``val_losses``."""
+
     seed: int
-    best_epoch: int
-    epochs_run: int
     test_mae: float
     test_mse: float
     train_losses: list = field(default_factory=list)
     val_losses: list = field(default_factory=list)
+
+    @property
+    def epochs_run(self):
+        return len(self.val_losses)
+
+    @property
+    def best_epoch(self):
+        return 1 + self.val_losses.index(min(self.val_losses))
 
 
 def cosine_lr(epoch, cfg):
@@ -100,14 +109,20 @@ def mse_loss(forecast, target):
     return mean_axis(square(forecast - Tensor(np.asarray(target, dtype=np.float64))))
 
 
-def evaluate(model, batches, revin=False):
-    """Mean absolute / squared error over a stream of WindowBatch blocks.
+def evaluate(model, dataset, split, batch_size, revin=False):
+    """Mean absolute / squared error over every window of ``split`` (a row
+    range of a prepared dataset), scored ``batch_size`` windows at a time.
 
+    Contexts may reach back into the preceding split; targets stay inside.
     Raises DivergenceError, naming the 0-based batch index, as soon as a
     batch's forecast is not finite or the squared-error sum overflows.
     Both metrics are then finite: a finite sum of squares bounds every
     error, and so the sum of their absolute values.
     """
+    contexts = select_contexts(dataset.graph, dataset.target, range(dataset.n_channels))
+    batches = iter_window_batches(dataset.values, split, model.l_ctx, model.h_pred,
+                                  dataset.target, contexts, batch_size,
+                                  allow_context_overlap=True)
     abs_sum = sq_sum = 0.0
     count = 0
     with no_grad():
@@ -118,8 +133,6 @@ def evaluate(model, batches, revin=False):
             count += diff.size
             if not math.isfinite(sq_sum):
                 raise DivergenceError(f"non-finite forecast or squared error in batch {i}")
-    if count == 0:
-        raise ValueError("evaluate: empty window stream")
     return float(abs_sum / count), float(sq_sum / count)
 
 
@@ -160,24 +173,16 @@ def train(model, dataset, cfg):
     optimizer = AdamW(model.parameters())
     params = optimizer.params
 
-    def eval_split(split, what):
-        stream = iter_window_batches(dataset.values, split, l_ctx, h_pred,
-                                     dataset.target, contexts, cfg.batch_size,
-                                     allow_context_overlap=True)
+    def score(split, what):
         try:
-            return evaluate(model, stream, revin=cfg.revin)
+            return evaluate(model, dataset, split, cfg.batch_size, cfg.revin)
         except DivergenceError as err:
             raise DivergenceError(f"non-finite {what}: {err}") from None
 
-    best_val = math.inf
-    best_state = None
-    best_epoch = 0
-    bad_epochs = 0
+    best_state, best_epoch = None, 0
     train_losses, val_losses = [], []
-    epochs_run = 0
 
     for epoch in range(1, cfg.max_epochs + 1):
-        epochs_run = epoch
         lr_t = cosine_lr(epoch - 1, cfg)
         order = _epoch_permutation(cfg.seed, epoch, len(train_starts))
         sq_sum = 0.0
@@ -194,25 +199,19 @@ def train(model, dataset, cfg):
             count += fut.size
         train_losses.append(sq_sum / count)
 
-        _, val_mse = eval_split(val_split, f"validation loss at epoch {epoch}")
+        _, val_mse = score(val_split, f"validation loss at epoch {epoch}")
         val_losses.append(val_mse)
-        if val_mse < best_val:
-            best_val = val_mse
+        if best_state is None or val_mse < val_losses[best_epoch - 1]:
             best_state = {k: p.data.copy() for k, p in params.items()}
             best_epoch = epoch
-            bad_epochs = 0
-        else:
-            bad_epochs += 1
-            if bad_epochs >= cfg.patience:
-                break
+        elif epoch - best_epoch >= cfg.patience:
+            break
 
     for name, p in params.items():
-        p.data = best_state[name].copy()
+        np.copyto(p.data, best_state[name])
 
-    test_mae, test_mse = eval_split(test_split, "test metric")
-    return RunResult(seed=cfg.seed, best_epoch=best_epoch, epochs_run=epochs_run,
-                     test_mae=test_mae, test_mse=test_mse,
-                     train_losses=train_losses, val_losses=val_losses)
+    test_mae, test_mse = score(test_split, "test metric")
+    return RunResult(cfg.seed, test_mae, test_mse, train_losses, val_losses)
 
 
 def mean_std(values):
@@ -261,5 +260,7 @@ def parse_record(text):
         if "=" not in line:
             raise ValueError(f"line {lineno}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
+        if key in out:
+            raise ValueError(f"line {lineno}: key {key!r} appears twice")
         out[key] = value
     return out

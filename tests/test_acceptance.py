@@ -28,8 +28,8 @@ from cgpt.datasets import (SplitPolicy, SyntheticConfig,
 from cgpt.layers import EncoderConfig
 from cgpt.model import (CausalGraph, CgptConfig, CgptModel, Variant,
                         cgpt_forward, influence, parameter_count)
-from cgpt.preprocessing import (PatchConfig, WindowBatch, iter_window_batches,
-                                revin_denormalize, revin_normalize)
+from cgpt.preprocessing import (PatchConfig, WindowBatch, revin_denormalize,
+                                revin_normalize)
 from cgpt.tensor import Tensor, grad_check, mean_axis, square
 from cgpt.training import TrainConfig, cosine_lr, evaluate, train
 
@@ -350,8 +350,6 @@ def test_c10_scheduler_and_stopping():
     model = DLinearModel(32, 1, seed=3)
     result = train(model, prepared, TrainConfig(batch_size=64, max_epochs=12,
                                                 patience=12, seed=3))
-    stream = iter_window_batches(prepared.values, prepared.borders[1], 32, 1,
-                                 3, [0, 1, 2], 64, allow_context_overlap=True)
-    _, val_mse = evaluate(model, stream)
+    _, val_mse = evaluate(model, prepared, prepared.borders[1], 64)
     assert val_mse == min(result.val_losses)
     assert result.best_epoch == result.val_losses.index(min(result.val_losses)) + 1

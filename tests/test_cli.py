@@ -14,12 +14,13 @@ import pytest
 
 from cgpt import cli
 from cgpt.baselines import DLinearModel
-from cgpt.checkpoint import save_checkpoint
+from cgpt.checkpoint import load_checkpoint, save_checkpoint
 from cgpt.cli import main, report_rows
-from cgpt.datasets import SplitPolicy, generate_additive, load_csv, SyntheticConfig
+from cgpt.datasets import (SplitPolicy, SyntheticConfig, generate_additive, load_csv,
+                           prepare_dataset)
 from cgpt.layers import EncoderConfig
 from cgpt.model import CgptConfig, CgptModel
-from cgpt.training import RunResult, result_record
+from cgpt.training import RunResult, evaluate, result_record
 
 # Small enough to train in well under a second, large enough that every
 # split still holds 96->1 windows under the 70/20/10 ratio policy.
@@ -44,8 +45,7 @@ def fake_record(path, *, dataset="additive", model="leaky", revin="no",
     """Drop a hand-built result record into the on-disk layout."""
     meta = {"dataset": dataset, "model": model, "revin": revin,
             "l_ctx": l_ctx, "h_pred": h_pred}
-    result = RunResult(seed=seed, best_epoch=1, epochs_run=1,
-                       test_mae=mae, test_mse=mse,
+    result = RunResult(seed=seed, test_mae=mae, test_mse=mse,
                        train_losses=[1.0], val_losses=[0.9])
     record_dir = (path / dataset / model / f"revin_{revin}" / f"seed_{seed}")
     record_dir.mkdir(parents=True, exist_ok=True)
@@ -321,6 +321,18 @@ def test_unknown_config_key_is_usage_error(tmp_path, capsys):
     assert "momentum" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_repeated_config_key_is_usage_error(tmp_path, capsys, command):
+    cfg = write_tiny_config(tmp_path, "lr=0.001\nlr=0.5\n")
+    argv = (["train", "--config", cfg, "--dataset", "additive", "--model", "leaky",
+             "--out", str(tmp_path / "runs")] if command == "train" else
+            ["eval", "--config", cfg, "--dataset", "additive",
+             "--checkpoint", str(tmp_path / "model.ckpt")])
+    assert main(argv) == 1
+    assert f"{cfg}:7: key 'lr' already set on line 6" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
 def test_missing_real_dataset_file_is_runtime_error(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("CGPT_DATA_DIR", str(tmp_path))
     assert main(["train", "--dataset", "etth1", "--model", "dlinear",
@@ -351,6 +363,19 @@ def test_train_on_generated_csv_path_with_sidecar_graph(tmp_path):
             / "seed_0" / "result_96to1.txt").exists()
 
 
+def test_self_loop_in_graph_sidecar_names_file_and_line(tmp_path, capsys):
+    csv_path = tmp_path / "mydata.csv"
+    main(["gen-data", "--dataset", "additive", "--out", str(csv_path)])
+    sidecar = tmp_path / "mydata.graph.txt"
+    sidecar.write_text("C0->C3\nC3->C3\n")
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(TINY.replace("length=1024\n", "") + "target=C3\n")
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg), "--dataset", str(csv_path),
+                 "--model", "leaky", "--out", str(tmp_path / "runs")]) == 2
+    assert f"{sidecar}:2: self-loop on channel 'C3'" in capsys.readouterr().err
+
+
 def test_csv_dataset_without_target_key_is_usage_error(tmp_path, capsys):
     csv_path = tmp_path / "mydata.csv"
     main(["gen-data", "--dataset", "additive", "--out", str(csv_path)])
@@ -376,6 +401,34 @@ def test_eval_matches_training_record(tmp_path, capsys, model):
                capsys.readouterr().out.strip().splitlines())
     assert float(out["test_mae"]) == float(record["test_mae"])
     assert float(out["test_mse"]) == float(record["test_mse"])
+
+
+def test_eval_scores_at_the_config_files_batch(tmp_path, capsys):
+    # summing the errors 32 windows at a time rounds differently from 256
+    cfg = tmp_path / "batch32.cfg"
+    cfg.write_text(TINY.replace("batch=256", "batch=32"))
+    assert main(["train", "--config", str(cfg), "--dataset", "additive", "--model", "dlinear",
+                 "--horizon", "1", "--seeds", "0", "--out", str(tmp_path / "runs")]) == 0
+    seed_dir = tmp_path / "runs" / "additive" / "dlinear" / "revin_no" / "seed_0"
+    record = (seed_dir / "result_96to1.txt").read_text().splitlines()
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(seed_dir / "model_96to1.ckpt"),
+                 "--dataset", "additive", "--config", str(cfg)]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert printed == [line for line in record if line.startswith(("test_mae=", "test_mse="))]
+
+
+def test_eval_prints_what_evaluate_returns_on_the_test_split(tmp_path, capsys):
+    main(train_argv(tmp_path, model="strict"))
+    ckpt = tmp_path / "runs" / "additive" / "strict" / "revin_no" / "seed_0" / "model_96to1.ckpt"
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(ckpt), "--dataset", "additive",
+                 "--config", write_tiny_config(tmp_path)]) == 0
+    model = cli.model_from_checkpoint(*load_checkpoint(ckpt))
+    dataset, policy = cli.resolve_dataset("additive", {"length": 1024})
+    prepared, _ = prepare_dataset(dataset, policy, 96, 1)
+    mae, mse = evaluate(model, prepared, prepared.borders[2], 256)
+    assert capsys.readouterr().out == f"test_mae={mae!r}\ntest_mse={mse!r}\n"
 
 
 def test_eval_rejects_garbage_checkpoint(tmp_path, capsys):
@@ -555,11 +608,13 @@ def test_report_refuses_non_finite_record(tmp_path, capsys):
 @pytest.mark.parametrize("old, new, message", [
     ("test_mae=0.5\n", "", "key test_mae missing"),
     ("revin=no\n", "revin=no\ngarbage\n", "line 4: expected key=value, got 'garbage'"),
+    ("test_mse=0.3\n", "test_mse=0.3\ntest_mse=99\n", "line 11: key 'test_mse' appears twice"),
     ("l_ctx=96\n", "l_ctx=abc\n", "key l_ctx: cannot read 'abc' as int"),
     ("test_mae=0.5\n", "test_mae=abc\n", "key test_mae: cannot read 'abc' as float"),
     ("revin=no\n", "revin=maybe\n", "key revin: expected yes or no, got 'maybe'"),
     ("model=leaky\n", "model=transformer\n", "key model: unknown model id 'transformer'"),
-], ids=["missing_key", "no_equals_sign", "int_key", "float_key", "revin_value", "model_value"])
+], ids=["missing_key", "no_equals_sign", "repeated_key", "int_key", "float_key",
+        "revin_value", "model_value"])
 def test_report_names_the_bad_record_and_key(tmp_path, capsys, old, new, message):
     runs = tmp_path / "runs"
     fake_record(runs, seed=0)

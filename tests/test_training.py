@@ -17,7 +17,7 @@ from cgpt.datasets import (
 )
 from cgpt.layers import EncoderConfig
 from cgpt.model import CgptConfig, CgptModel, Variant
-from cgpt.preprocessing import PatchConfig, WindowBatch, iter_window_batches, window_starts
+from cgpt.preprocessing import PatchConfig, WindowBatch, window_starts
 from cgpt.tensor import Tensor, backward
 from cgpt.training import (
     ADAM_BETAS,
@@ -25,6 +25,7 @@ from cgpt.training import (
     WEIGHT_DECAY,
     AdamW,
     DivergenceError,
+    RunResult,
     TrainConfig,
     cosine_lr,
     evaluate,
@@ -167,7 +168,9 @@ def test_adamw_rejects_non_finite_grad():
 # ---------------------------------------------------------------- evaluate
 
 class _Stub:
-    """Predicts the true future plus a constant offset."""
+    """An 8->2 model that predicts the true future plus a constant offset."""
+
+    l_ctx, h_pred = 8, 2
 
     def __init__(self, offset=0.0):
         self.offset = offset
@@ -176,22 +179,24 @@ class _Stub:
         return Tensor(batch.target_future + self.offset)
 
 
-def _stream(n=3):
-    rng = np.random.default_rng(0)
-    for _ in range(n):
-        yield WindowBatch(rng.standard_normal((4, 8, 2)),
-                          rng.standard_normal((4, 2)), 0, (1,))
+def _score(model, split=(30, 40)):
+    """Scores the 9 windows whose futures lie in rows 30..39 of a 2-channel
+    noise series, in batches of 4, 4 and 1."""
+    values = np.random.default_rng(0).standard_normal((40, 2))
+    ds = TimeSeriesDataset("noise", values, ("a", "b"), 0)
+    return evaluate(model, ds.with_borders(((0, 20), (20, 30), (30, 40))), split, 4)
 
 
 def test_evaluate_perfect_and_offset_predictions():
-    assert evaluate(_Stub(0.0), _stream()) == (0.0, 0.0)
-    mae, mse = evaluate(_Stub(1.0), _stream())
+    assert _score(_Stub(0.0)) == (0.0, 0.0)
+    mae, mse = _score(_Stub(1.0))
     assert abs(mae - 1.0) < 1e-12 and abs(mse - 1.0) < 1e-12
 
 
 def test_evaluate_empty_stream():
-    with pytest.raises(ValueError, match="empty"):
-        evaluate(_Stub(), iter(()))
+    # 5 rows hold no 8->2 window, so there is no batch to score
+    with pytest.raises(ValueError, match=r"split \(0, 5\) holds no window"):
+        _score(_Stub(), split=(0, 5))
 
 
 class _BlowsUpAt(_Stub):
@@ -212,7 +217,7 @@ class _BlowsUpAt(_Stub):
 def test_evaluate_names_the_batch_of_a_non_finite_forecast_or_metric(bad):
     # 1e200 is a finite forecast whose squared error overflows
     with np.errstate(over="ignore"), pytest.raises(DivergenceError, match="in batch 1$"):
-        evaluate(_BlowsUpAt(1, bad), _stream())
+        _score(_BlowsUpAt(1, bad))
 
 
 def test_train_config_rejects_non_finite_lr():
@@ -245,6 +250,24 @@ def test_patience_stops_at_eleven_when_nothing_improves():
     assert result.test_mse == 0.0
 
 
+def test_early_stopped_run_counts_its_epochs_from_the_validation_losses():
+    ds = small_additive()
+    model = DLinearModel(32, 1, seed=3)
+    cfg = TrainConfig(lr=0.1, batch_size=64, max_epochs=40, patience=2, seed=3)
+    result = train(model, ds, cfg)
+    losses = result.val_losses
+    assert result.epochs_run == len(losses) == 4  # stopped well before max_epochs
+    assert result.best_epoch == 1 + losses.index(min(losses)) == 2
+    assert result.epochs_run - result.best_epoch == cfg.patience
+    assert evaluate(model, ds, ds.borders[1], 64)[1] == losses[1]
+
+
+def test_tied_validation_losses_pick_the_earlier_epoch():
+    result = RunResult(seed=0, test_mae=0.0, test_mse=0.0,
+                       train_losses=[3.0, 2.0, 1.0, 0.5], val_losses=[0.5, 0.3, 0.3, 0.4])
+    assert (result.best_epoch, result.epochs_run) == (2, 4)
+
+
 def test_patience_window_slides_on_improvement():
     result = train(zeroed_dlinear(), zero_dataset(),
                    TrainConfig(batch_size=16, max_epochs=5, patience=10))
@@ -257,17 +280,12 @@ def test_best_checkpoint_restored_and_test_computed_on_it():
     cfg = TrainConfig(batch_size=64, max_epochs=12, patience=12, seed=3)
     result = train(model, ds, cfg)
 
-    contexts = [0, 1, 2]
-    val_stream = iter_window_batches(ds.values, ds.borders[1], 32, 1, 3, contexts,
-                                     64, allow_context_overlap=True)
-    _, val_mse = evaluate(model, val_stream, revin=cfg.revin)
+    _, val_mse = evaluate(model, ds, ds.borders[1], 64, revin=cfg.revin)
     assert val_mse == min(result.val_losses)
     assert result.best_epoch == result.val_losses.index(min(result.val_losses)) + 1
 
-    test_stream = iter_window_batches(ds.values, ds.borders[2], 32, 1, 3, contexts,
-                                      64, allow_context_overlap=True)
-    _, test_mse = evaluate(model, test_stream, revin=cfg.revin)
-    assert test_mse == result.test_mse
+    assert evaluate(model, ds, ds.borders[2], 64, revin=cfg.revin) == (
+        result.test_mae, result.test_mse)
 
 
 def test_training_is_bit_deterministic():
@@ -365,11 +383,9 @@ def test_wide_training_step_peak_memory_is_bounded():
 
 def test_every_model_family_learns_in_one_epoch():
     ds = small_additive()
-    contexts = [0, 1, 2][:2]  # graph parents of C3 are [0, 1]
 
     def untrained_loss(model):
-        stream = iter_window_batches(ds.values, ds.borders[0], 32, 1, 3, contexts, 256)
-        _, mse = evaluate(model, stream)
+        _, mse = evaluate(model, ds, ds.borders[0], 256)
         return mse
 
     families = {
@@ -410,11 +426,8 @@ def test_train_requires_borders():
 # ---------------------------------------------------------------- aggregation
 
 def test_run_seeds_aggregates_mean_and_sample_std():
-    from cgpt.training import RunResult
-
     def fake_run(seed):
-        return RunResult(seed=seed, best_epoch=1, epochs_run=1,
-                         test_mae=0.1 * (seed + 1), test_mse=0.01)
+        return RunResult(seed=seed, test_mae=0.1 * (seed + 1), test_mse=0.01)
 
     agg = run_seeds(fake_run, [0, 1, 2])
     assert abs(agg["mae_mean"] - 0.2) < 1e-12
@@ -443,10 +456,8 @@ def test_dlinear_additive_long_horizon_is_stable_across_seeds():
 # ---------------------------------------------------------------- records
 
 def test_result_record_roundtrip_and_determinism():
-    from cgpt.training import RunResult
-
-    result = RunResult(seed=3, best_epoch=2, epochs_run=5, test_mae=0.125,
-                       test_mse=0.015625, train_losses=[1.0, 0.5], val_losses=[0.7, 0.6])
+    result = RunResult(seed=3, test_mae=0.125, test_mse=0.015625,
+                       train_losses=[1.0, 0.5], val_losses=[0.7, 0.6])
     meta = {"dataset": "additive", "model": "leaky", "revin": "no",
             "l_ctx": 96, "h_pred": 1}
     text = result_record(result, meta)
@@ -455,12 +466,15 @@ def test_result_record_roundtrip_and_determinism():
     assert parsed["seed"] == "3"
     assert float(parsed["test_mae"]) == 0.125
     assert [float(v) for v in parsed["train_losses"].split(",")] == [1.0, 0.5]
+    assert (parsed["best_epoch"], parsed["epochs_run"]) == ("2", "2")
 
-    again = RunResult(seed=3, best_epoch=2, epochs_run=5, test_mae=0.125,
-                      test_mse=0.015625, train_losses=[1.0, 0.5], val_losses=[0.7, 0.6])
+    again = RunResult(seed=3, test_mae=0.125, test_mse=0.015625,
+                      train_losses=[1.0, 0.5], val_losses=[0.7, 0.6])
     assert result_record(again, meta) == text
 
 
 def test_parse_record_rejects_garbage():
     with pytest.raises(ValueError, match="line 2"):
         parse_record("a=1\nnot a record\n")
+    with pytest.raises(ValueError, match="^line 3: key 'a' appears twice$"):
+        parse_record("a=1\nb=2\na=3\n")
