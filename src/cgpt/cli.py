@@ -237,14 +237,20 @@ def resolve_dataset(dataset_id, options=None):
     Registry ids: additive, interactive (generated), etth1, factory, amino
     (CSV files under CGPT_DATA_DIR).  Anything ending in .csv is loaded
     directly; its target column comes from the ``target`` config key and a
-    ``<stem>.graph.txt`` sidecar is honoured when present.
+    ``<stem>.graph.txt`` sidecar is honoured when present.  A generator
+    fixes its target, so a ``target`` key must name that channel.
     """
     options = dict(options or {})
     ratio = SplitPolicy.RATIO_70_20_10
 
     if dataset_id in _GENERATORS:
         cfg = SyntheticConfig(**_pick(options, length="length", seed="data_seed"))
-        return _GENERATORS[dataset_id](cfg), ratio
+        dataset = _GENERATORS[dataset_id](cfg)
+        target = dataset.channel_names[dataset.target]
+        if options.get("target", target) != target:
+            raise UsageError(f"dataset {dataset_id}: config key target={options['target']} "
+                             f"cannot be set; the generator's target is {target}")
+        return dataset, ratio
 
     if dataset_id in _REAL_CSVS:
         file_name, description, is_target, policy = _REAL_CSVS[dataset_id]
@@ -352,14 +358,21 @@ def cmd_gen_data(args):
     return 0
 
 
+def _prepared_dataset(dataset_id, options, l_ctx, h_pred):
+    """The dataset ``dataset_id`` names, split and standardized.  Its raw
+    values die with this frame, so only the standardized copy stays live."""
+    dataset, policy = resolve_dataset(dataset_id, options)
+    prepared, _ = prepare_dataset(dataset, policy, l_ctx, h_pred)
+    return prepared
+
+
 def cmd_train(args):
     spec = build_spec(args)
-    dataset, policy = resolve_dataset(spec.dataset, spec.options)
-    prepared, _ = prepare_dataset(dataset, policy, spec.context, spec.horizon)
+    prepared = _prepared_dataset(spec.dataset, spec.options, spec.context, spec.horizon)
 
     task = f"{spec.context}to{spec.horizon}"
     revin_dir = "revin_yes" if spec.revin else "revin_no"
-    out_root = Path(spec.out) / dataset.name / spec.model / revin_dir
+    out_root = Path(spec.out) / prepared.name / spec.model / revin_dir
     seed_dirs = {seed: out_root / f"seed_{seed}" for seed in spec.seeds}
 
     # A record is written last, so it alone marks a finished run; a seed
@@ -375,7 +388,7 @@ def cmd_train(args):
     train_options = _pick(spec.options, lr="lr", batch_size="batch",
                           max_epochs="max_epochs", patience="patience")
     meta = {
-        "dataset": dataset.name,
+        "dataset": prepared.name,
         "model": spec.model,
         "revin": "yes" if spec.revin else "no",
         "l_ctx": spec.context,
@@ -392,7 +405,8 @@ def cmd_train(args):
         result = train(model, prepared, cfg)
         seed_dir = seed_dirs[seed]
         header = dict(model.config_header())
-        header.update(dataset=dataset.name, revin=meta["revin"], seed=seed)
+        header.update(dataset=prepared.name, revin=meta["revin"], seed=seed,
+                      batch=cfg.batch_size)
         _write_atomic(seed_dir / f"model_{task}.ckpt",
                       lambda path: save_checkpoint(path, header, dict(model.parameters())))
         record = result_record(result, meta)
@@ -403,30 +417,48 @@ def cmd_train(args):
         return result
 
     summary = run_seeds(run_one, spec.seeds)
-    print(f"{dataset.name}/{spec.model}/{revin_dir} {task}: "
+    print(f"{prepared.name}/{spec.model}/{revin_dir} {task}: "
           f"mae {summary['mae_mean']:.4f} ± {summary['mae_std']:.4f}, "
           f"mse {summary['mse_mean']:.4f} ± {summary['mse_std']:.4f} "
           f"over {summary['n_seeds']} seed(s)")
     return 0
 
 
+def _checkpoint_model(path):
+    """(model, header) of the checkpoint at ``path``.  Its arrays die with
+    this frame, so only the model's own copy of the weights stays live."""
+    header, arrays = load_checkpoint(path)
+    try:
+        return model_from_checkpoint(header, arrays), header
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
+
+
+def _header_setting(path, header, key, convert, default):
+    """``convert(header[key])``, or ``default`` when the header lacks ``key``."""
+    if key not in header:
+        return default
+    try:
+        return convert(header[key])
+    except UsageError as err:
+        raise ValueError(f"{path}: header key {key}: {err}") from None
+    except ValueError:
+        raise ValueError(f"{path}: header key {key}: cannot parse {header[key]!r}") from None
+
+
 def cmd_eval(args):
     options = read_config(args.config) if args.config else {}
-    header, arrays = load_checkpoint(args.checkpoint)
-    try:
-        model = model_from_checkpoint(header, arrays)
-        stored_revin = _parse_yes_no(header.get("revin", "no"))
-    except UsageError as err:
-        raise ValueError(f"{args.checkpoint}: header key revin: {err}") from None
-    except ValueError as err:
-        raise ValueError(f"{args.checkpoint}: {err}") from None
-    dataset, policy = resolve_dataset(args.dataset, options)
-    prepared, _ = prepare_dataset(dataset, policy, model.l_ctx, model.h_pred)
+    model, header = _checkpoint_model(args.checkpoint)
+    stored_revin = _header_setting(args.checkpoint, header, "revin", _parse_yes_no, False)
+    stored_batch = _header_setting(args.checkpoint, header, "batch", _positive_int,
+                                   TrainConfig.batch_size)
+    prepared = _prepared_dataset(args.dataset, options, model.l_ctx, model.h_pred)
 
     revin = stored_revin if args.revin is None else args.revin
-    # the batch size sets the order of the error sums, so score at the run's
+    # the batch size sets the order of the error sums, so score at the run's:
+    # the config file's, else the one the checkpoint records
     mae, mse = evaluate(model, prepared, prepared.borders[2],
-                        options.get("batch", TrainConfig.batch_size), revin)
+                        options.get("batch", stored_batch), revin)
     print(f"test_mae={mae!r}")
     print(f"test_mse={mse!r}")
     return 0

@@ -40,7 +40,10 @@ def revin_normalize(x):
         raise ValueError("revin_normalize: input contains non-finite values")
     mean = x.mean(axis=-1, keepdims=True)
     stdev = np.maximum(x.std(axis=-1, keepdims=True), REVIN_MIN_STDEV)
-    return (x - mean) / stdev, RevinStats(mean=mean, stdev=stdev)
+    # (x - mean) / stdev, dividing into the difference: one temporary, same bits
+    out = x - mean
+    out /= stdev
+    return out, RevinStats(mean=mean, stdev=stdev)
 
 
 def revin_denormalize(y, stats):
@@ -120,7 +123,10 @@ def apply_standardizer(values, stats):
         raise ValueError(
             f"standardizer fitted for {stats.mean.shape[0]} channels, "
             f"data has {values.shape[-1]}")
-    return (values - stats.mean) / stats.stdev
+    # (values - mean) / stdev, dividing into the difference: one temporary, same bits
+    out = values - stats.mean
+    out /= stats.stdev
+    return out
 
 
 @dataclass(frozen=True)

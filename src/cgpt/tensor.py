@@ -280,8 +280,10 @@ def merge_heads(a):
 
 
 def reshape(a, shape):
+    # copy first, then view: one C-order copy even when ``a`` is strided,
+    # where reshape-then-copy copies twice
     try:
-        out = a.data.reshape(shape).copy()
+        out = a.data.copy().reshape(shape)
     except ValueError:
         raise ShapeError(f"reshape: cannot view {a.shape} as {shape}") from None
     in_shape = a.shape

@@ -7,13 +7,14 @@ emitted files, and captured output; no subprocesses.
 import csv
 import hashlib
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cgpt import cli
-from cgpt.baselines import DLinearModel
+from cgpt.baselines import DLinearModel, MlpBaseline
 from cgpt.checkpoint import load_checkpoint, save_checkpoint
 from cgpt.cli import main, report_rows
 from cgpt.datasets import (SplitPolicy, SyntheticConfig, generate_additive, load_csv,
@@ -384,6 +385,33 @@ def test_csv_dataset_without_target_key_is_usage_error(tmp_path, capsys):
     assert "target" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize("dataset", ["additive", "interactive"])
+def test_target_other_than_the_generators_is_usage_error(tmp_path, capsys, command, dataset):
+    model = DLinearModel(96, 1)
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(ckpt, model.config_header(), model.parameters())
+    argv = {"train": ["train", "--model", "dlinear", "--out", str(tmp_path / "runs")],
+            "eval": ["eval", "--checkpoint", str(ckpt)]}[command]
+    cfg = write_tiny_config(tmp_path, "target=C0\n")
+    assert main([*argv, "--config", cfg, "--dataset", dataset]) == 1
+    captured = capsys.readouterr()
+    assert "test_mae" not in captured.out
+    assert (f"dataset {dataset}: config key target=C0 cannot be set; "
+            "the generator's target is C3") in captured.err
+    assert not (tmp_path / "runs").exists()
+
+
+def test_target_naming_the_generators_target_is_accepted(tmp_path):
+    argv = train_argv(tmp_path, model="dlinear")
+    assert main(argv) == 0
+    argv[2] = write_tiny_config(tmp_path, "target=C3\n")
+    assert main([*argv, "--out", str(tmp_path / "with_target")]) == 0
+    task = Path("additive", "dlinear", "revin_no", "seed_0", "result_96to1.txt")
+    assert ((tmp_path / "with_target" / task).read_text()
+            == (tmp_path / "runs" / task).read_text())
+
+
 # --------------------------------------------------------------------- eval
 
 
@@ -416,6 +444,74 @@ def test_eval_scores_at_the_config_files_batch(tmp_path, capsys):
                  "--dataset", "additive", "--config", str(cfg)]) == 0
     printed = capsys.readouterr().out.splitlines()
     assert printed == [line for line in record if line.startswith(("test_mae=", "test_mse="))]
+
+
+def test_eval_without_config_scores_at_the_checkpoints_batch(tmp_path, capsys):
+    # the default length, so that eval needs no config file to rebuild the data
+    cfg = tmp_path / "batch32.cfg"
+    cfg.write_text("max_epochs=1\nbatch=32\n")
+    assert main(["train", "--config", str(cfg), "--dataset", "additive", "--model", "dlinear",
+                 "--horizon", "1", "--seeds", "0", "--out", str(tmp_path / "runs")]) == 0
+    seed_dir = tmp_path / "runs" / "additive" / "dlinear" / "revin_no" / "seed_0"
+    record = (seed_dir / "result_96to1.txt").read_text().splitlines()
+    ckpt = seed_dir / "model_96to1.ckpt"
+    assert load_checkpoint(ckpt)[0]["batch"] == "32"
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(ckpt), "--dataset", "additive"]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert printed == [line for line in record if line.startswith(("test_mae=", "test_mse="))]
+
+
+@pytest.mark.parametrize("batch, message", [("0", "expected an integer of at least 1, got '0'"),
+                                            ("32.0", "cannot parse '32.0'")])
+def test_eval_reads_the_header_batch_strictly(tmp_path, capsys, batch, message):
+    model = DLinearModel(96, 1)
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(ckpt, dict(model.config_header(), batch=batch), model.parameters())
+    assert main(["eval", "--checkpoint", str(ckpt), "--dataset", "additive"]) == 2
+    captured = capsys.readouterr()
+    assert "test_mae" not in captured.out
+    assert f"{ckpt}: header key batch: {message}" in captured.err
+
+
+def test_eval_holds_one_copy_of_the_weights_and_of_the_values(tmp_path, capsys):
+    """The traced peak of a whole ``cgpt eval`` is the model's parameters,
+    one values array and what scoring one batch at a time allocates; the
+    checkpoint's arrays and the raw CSV values are dead by then."""
+    csv_path = tmp_path / "long.csv"
+    assert main(["gen-data", "--dataset", "additive", "--length", "65536",
+                 "--out", str(csv_path)]) == 0
+    (tmp_path / "eval.cfg").write_text("target=C3\n")
+    model = MlpBaseline(96, 1, n_vars=4, seed=2)
+    ckpt = tmp_path / "mlp.ckpt"
+    save_checkpoint(ckpt, dict(model.config_header(), revin="yes"), model.parameters())
+    param_bytes = sum(p.data.nbytes for p in model.parameters().values())
+    argv = ["eval", "--checkpoint", str(ckpt), "--dataset", str(csv_path),
+            "--config", str(tmp_path / "eval.cfg")]
+
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    printed = capsys.readouterr().out
+
+    # the allowance: evaluate's own peak over a built model and prepared data
+    model = cli.model_from_checkpoint(*load_checkpoint(ckpt))
+    prepared, _ = prepare_dataset(*cli.resolve_dataset(str(csv_path), {"target": "C3"}), 96, 1)
+    values_bytes = prepared.values.nbytes
+    assert values_bytes >= 2 * 2 ** 20
+    tracemalloc.start()
+    try:
+        mae, mse = evaluate(model, prepared, prepared.borders[2], 256, revin=True)
+        scoring_bytes = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert printed == f"test_mae={mae!r}\ntest_mse={mse!r}\n"
+    # 256 KiB for the interpreter's own objects: parsed header, config, csv reader
+    assert peak <= param_bytes + values_bytes + scoring_bytes + 2 ** 18
 
 
 def test_eval_prints_what_evaluate_returns_on_the_test_split(tmp_path, capsys):

@@ -8,19 +8,26 @@ layers, so a change in how heads are split or merged shows too.  Every
 loss and metric is written with ``repr``, so a change in the last bit of
 any of them shows.
 
-The strings were recorded with numpy 2.4.6 on OpenBLAS (x86_64).  Another
-BLAS or numpy build may round differently; a change that moves results on
-purpose must regenerate them and say so.  Running this file as a script,
-``PYTHONPATH=src python tests/test_golden_records.py``, prints the
-``GOLDEN`` and ``GOLDEN_MULTIHEAD`` dicts the current code computes.
+The strings were recorded with numpy 2.4.6 on OpenBLAS (x86_64), on the
+CPU code paths named in ``PINNED_ON``: numpy's SIMD dispatch level and
+OpenBLAS's kernel set.  numpy's ``exp``, ``power``, ``log`` and ``tanh``
+and OpenBLAS's products round differently on other paths, so the pins hold
+only there; a failure says whether this machine runs those paths.  A
+change that moves results on purpose must regenerate them and say so.
+Running this file as a script, ``PYTHONPATH=src python
+tests/test_golden_records.py``, prints ``PINNED_ON`` and the ``GOLDEN`` and
+``GOLDEN_MULTIHEAD`` dicts for this machine and the current code.
 
 The synthetic generators' outputs are pinned the same way, by the sha256
 of ``values.tobytes()``.
 """
 
+import ctypes
 import hashlib
 import json
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cgpt.baselines import DLinearModel, MlpBaseline
@@ -36,6 +43,40 @@ ENCODER = EncoderConfig(d_model=8, d_ff=16, n_heads=1, e_layers=1,
                         patch=PatchConfig(8, 8), n_p_max=8)
 MULTIHEAD = EncoderConfig(d_model=8, d_ff=16, n_heads=2, e_layers=2,
                           patch=PatchConfig(8, 8), n_p_max=8)
+
+PINNED_ON = {"numpy dispatch": "AVX512_SPR", "OpenBLAS core": "SkylakeX"}
+
+
+def numpy_dispatch_level():
+    """The highest of numpy's SIMD dispatch targets this CPU runs."""
+    from numpy._core import _multiarray_umath as umath
+    running = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+    return running[-1] if running else "baseline"
+
+
+def openblas_core():
+    """The kernel set numpy's bundled OpenBLAS picked for this CPU."""
+    libs = Path(np.__file__).resolve().parents[1] / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas*")):
+        corename = getattr(ctypes.CDLL(str(path)), "scipy_openblas_get_corename64_", None)
+        if corename is not None:
+            corename.argtypes, corename.restype = [], ctypes.c_char_p
+            return corename().decode()
+    return "unknown"
+
+
+def code_paths():
+    return {"numpy dispatch": numpy_dispatch_level(), "OpenBLAS core": openblas_core()}
+
+
+def pinned_paths_note():
+    """Failure text: do this machine's CPU code paths match the pinned ones?"""
+    here = code_paths()
+    if here == PINNED_ON:
+        return f"this machine runs the pinned code paths {PINNED_ON}, so the code moved the bits"
+    return (f"the pins were recorded on {PINNED_ON} but this machine runs {here}, "
+            "whose kernels may round differently")
+
 
 GOLDEN = {
     ("leaky", False): (
@@ -230,12 +271,13 @@ def golden_record(data, name, revin, encoder=ENCODER):
 
 @pytest.mark.parametrize("name,revin", list(GOLDEN))
 def test_result_record_matches_golden_text(data, name, revin):
-    assert golden_record(data, name, revin) == GOLDEN[name, revin]
+    assert golden_record(data, name, revin) == GOLDEN[name, revin], pinned_paths_note()
 
 
 @pytest.mark.parametrize("name,revin", list(GOLDEN_MULTIHEAD))
 def test_multihead_result_record_matches_golden_text(data, name, revin):
-    assert golden_record(data, name, revin, MULTIHEAD) == GOLDEN_MULTIHEAD[name, revin]
+    assert (golden_record(data, name, revin, MULTIHEAD)
+            == GOLDEN_MULTIHEAD[name, revin]), pinned_paths_note()
 
 
 GENERATORS = {"additive": generate_additive, "interactive": generate_interactive}
@@ -255,7 +297,8 @@ GENERATOR_SHA256 = {
 @pytest.mark.parametrize("kind,seed,length", list(GENERATOR_SHA256))
 def test_generator_values_match_pinned_bytes(kind, seed, length):
     values = GENERATORS[kind](SyntheticConfig(length=length, seed=seed)).values
-    assert hashlib.sha256(values.tobytes()).hexdigest() == GENERATOR_SHA256[kind, seed, length]
+    assert (hashlib.sha256(values.tobytes()).hexdigest()
+            == GENERATOR_SHA256[kind, seed, length]), pinned_paths_note()
 
 
 def print_golden(title, data, keys, encoder):
@@ -270,5 +313,6 @@ def print_golden(title, data, keys, encoder):
 
 if __name__ == "__main__":
     prepared = load_data()
+    print(f"PINNED_ON = {code_paths()}")
     print_golden("GOLDEN", prepared, GOLDEN, ENCODER)
     print_golden("GOLDEN_MULTIHEAD", prepared, GOLDEN_MULTIHEAD, MULTIHEAD)

@@ -66,6 +66,15 @@ def test_revin_batched_channels_are_independent():
     assert np.array_equal(stats.mean[2, 1], one_stats.mean)
 
 
+def test_revin_normalize_has_the_bits_of_the_formula_and_keeps_its_input():
+    rng = np.random.default_rng(2)
+    x = rng.standard_normal((8, 3, 40)) * 7.0 + 3.0
+    before = x.copy()
+    out, stats = revin_normalize(x)
+    assert out.tobytes() == ((x - stats.mean) / stats.stdev).tobytes()
+    assert x.tobytes() == before.tobytes()
+
+
 def test_revin_rejects_bad_input():
     with pytest.raises(ValueError):
         revin_normalize(np.array([1.0]))
@@ -184,6 +193,16 @@ def test_standardizer_transform_and_mismatch():
     assert out.shape == values.shape
     with pytest.raises(ValueError, match="channels"):
         apply_standardizer(values[:, :2], stats)
+
+
+def test_standardizer_has_the_bits_of_the_formula_and_keeps_its_input():
+    rng = np.random.default_rng(6)
+    values = rng.standard_normal((500, 4)) * [1.0, 30.0, 1e-3, 7.0] + [0.0, -5.0, 2.0, 1e4]
+    before = values.copy()
+    stats = fit_standardizer(values, (0, 350))
+    out = apply_standardizer(values, stats)
+    assert out.tobytes() == ((values - stats.mean) / stats.stdev).tobytes()
+    assert values.tobytes() == before.tobytes()
 
 
 def test_standardizer_rejects_nan_in_train():

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
 import weakref
 from pathlib import Path
@@ -212,13 +213,14 @@ def test_forked_child_computes_gelu_with_its_own_pool(cpus):
 
 
 def test_importing_the_cli_starts_no_thread_and_no_executor():
-    # a fresh `import cgpt.cli` is most of the benchmark's set-up time
-    probe = ("import sys, threading; import cgpt.cli; "
-             "assert 'concurrent.futures' not in sys.modules, 'concurrent.futures imported'; "
-             "assert threading.active_count() == 1, threading.enumerate()")
+    # a fresh `import cgpt.cli` is most of the benchmark's set-up time, so
+    # the pool's modules are imported on first use, not with the package
     src = str(Path(T.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
-    done = subprocess.run([sys.executable, "-c", probe], env=env,
+    probe = (f"import sys, threading; sys.path.insert(0, {src!r}); import cgpt.cli; "
+             "loaded = [m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules]; "
+             "assert not loaded, f'{loaded} imported'; "
+             "assert threading.active_count() == 1, threading.enumerate()")
+    done = subprocess.run([sys.executable, "-I", "-c", probe],
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
 
@@ -252,6 +254,24 @@ def test_transpose_and_reshape_copy():
     t.data[0, 0] = 99.0
     r.data[0, 0] = 99.0
     assert x.data[0, 0] == 0.0  # outputs own their storage
+
+
+def test_reshape_of_a_strided_view_makes_one_copy():
+    rng = np.random.default_rng(5)
+    base = rng.standard_normal((64, 4, 96))
+    x = Tensor(base.transpose(0, 2, 1), requires_grad=True)  # not C-contiguous
+    tracemalloc.start()
+    try:
+        out = reshape(x, (64, 384))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert base.nbytes <= peak < base.nbytes + 4096
+    assert out.data.flags.c_contiguous
+    assert np.array_equal(out.data, base.transpose(0, 2, 1).reshape(64, 384))
+    g = rng.standard_normal((64, 384))
+    backward(sum_axis(out * Tensor(g)))
+    assert x.grad.tobytes() == g.reshape(64, 96, 4).tobytes()
 
 
 def test_split_and_merge_heads_values():
