@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .checkpoint import header_value
-from .layers import glorot_uniform, load_param_arrays
+from .layers import glorot_uniform, init_rng, load_param_arrays
 from .preprocessing import revin_forecast
 from .tensor import Tensor, matmul, relu, reshape
 
@@ -32,6 +32,7 @@ class _Baseline:
 
     Their hyperparameters are the integer constructor arguments named in
     ``header_keys``; the checkpoint header lists them in that order.
+    ``seed=None`` draws no weights: ``load_arrays`` supplies them.
     """
 
     header_keys = ()
@@ -65,7 +66,7 @@ class DLinearModel(_Baseline):
         self.h_pred = h_pred
         self.kernel = kernel
         self._avg = Tensor(moving_average_matrix(l_ctx, kernel))
-        rng = np.random.Generator(np.random.Philox(key=seed))
+        rng = init_rng(seed)
         self.params = {
             "trend.w": Tensor(glorot_uniform(rng, (l_ctx, h_pred)), requires_grad=True),
             "trend.b": Tensor(np.zeros(h_pred), requires_grad=True),
@@ -102,7 +103,7 @@ class MlpBaseline(_Baseline):
         self.h_pred = h_pred
         self.n_vars = n_vars
         self.hidden = hidden
-        rng = np.random.Generator(np.random.Philox(key=seed))
+        rng = init_rng(seed)
         width = l_ctx * n_vars
         self.params = {
             "fc1.w": Tensor(glorot_uniform(rng, (width, hidden)), requires_grad=True),

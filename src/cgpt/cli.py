@@ -288,15 +288,16 @@ def build_model(spec, n_vars, seed):
 
 
 def model_from_checkpoint(header, arrays):
-    """Rebuild a model from a checkpoint's config header and load its weights.
+    """Rebuild a model from a checkpoint's config header and its weights.
 
     The header must describe the model completely: every key the rebuilt
-    model would write has to be present with the same value.
+    model would write has to be present with the same value.  The model
+    draws no weights of its own; it adopts ``arrays``.
     """
     cls = _KINDS.get(header.get("kind"))
     if cls is None:
         raise ValueError(f"checkpoint names unknown model kind {header.get('kind')!r}")
-    model = cls.from_header(header)
+    model = cls.from_header(header, seed=None)
     problems = [f"{key} missing" if key not in header else
                 f"{key}={header[key]} rebuilds as {value}"
                 for key, value in model.config_header().items()
@@ -425,8 +426,8 @@ def cmd_train(args):
 
 
 def _checkpoint_model(path):
-    """(model, header) of the checkpoint at ``path``.  Its arrays die with
-    this frame, so only the model's own copy of the weights stays live."""
+    """(model, header) of the checkpoint at ``path``.  The model adopts the
+    checkpoint's arrays, so the weights are held once."""
     header, arrays = load_checkpoint(path)
     try:
         return model_from_checkpoint(header, arrays), header

@@ -42,6 +42,27 @@ class EncoderConfig:
             raise ValueError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
 
 
+class _NoDraws:
+    """Stands in for the weight generator of a model built with
+    ``seed=None``: each draw is a read-only view of one zero in the asked
+    shape, so the model draws and allocates no weights until
+    ``load_arrays`` hands it its own."""
+
+    @staticmethod
+    def uniform(low, high, size):
+        return np.broadcast_to(0.0, size)
+
+    normal = uniform
+
+
+def init_rng(seed):
+    """The generator a model draws its initial weights from: Philox keyed
+    by ``seed``, or, for ``seed=None``, ``_NoDraws``."""
+    if seed is None:
+        return _NoDraws()
+    return np.random.Generator(np.random.Philox(key=seed))
+
+
 def glorot_uniform(rng, shape):
     fan_in, fan_out = shape[0], shape[-1]
     limit = math.sqrt(6.0 / (fan_in + fan_out))
@@ -82,9 +103,12 @@ def init_encoder_params(cfg, rng):
 
 
 def load_param_arrays(params, arrays):
-    """Copy named numpy arrays into an existing parameter dict, strictly.
+    """Give an existing parameter dict named numpy arrays, strictly.
 
-    Each array is copied once, into the parameter's own array."""
+    Names and shapes must match before any parameter changes.  Each
+    parameter then adopts its array when it is writable C-order float64
+    (what ``load_checkpoint`` returns), else a copy of it: the caller
+    hands the arrays over and must not write to them afterwards."""
     if set(params) != set(arrays):
         missing = sorted(set(params) - set(arrays))
         extra = sorted(set(arrays) - set(params))
@@ -93,7 +117,8 @@ def load_param_arrays(params, arrays):
         if tensor.data.shape != arrays[name].shape:
             raise ValueError(
                 f"{name}: shape {arrays[name].shape} does not match {tensor.data.shape}")
-        np.copyto(tensor.data, arrays[name])
+    for name, tensor in params.items():
+        tensor.data = np.require(arrays[name], np.float64, ("C", "W"))
 
 
 def embed_patches(patches, params, cfg):

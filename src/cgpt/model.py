@@ -27,6 +27,7 @@ from .layers import (
     encoder_forward,
     glorot_uniform,
     init_encoder_params,
+    init_rng,
     load_param_arrays,
     pool_latent,
 )
@@ -106,7 +107,8 @@ class CgptModel:
 
     Parameter shapes depend only on the config, never on how many
     channels a dataset has, so one trained model applies to any
-    channel count.
+    channel count.  ``seed=None`` draws no weights: ``load_arrays``
+    supplies them.
     """
 
     kind = "cgpt"
@@ -114,7 +116,7 @@ class CgptModel:
     def __init__(self, cfg, seed=0):
         self.cfg = cfg
         enc_cfg = cfg.encoder
-        rng = np.random.Generator(np.random.Philox(key=seed))
+        rng = init_rng(seed)
         d, ff = enc_cfg.d_model, enc_cfg.d_ff
         self.encoder_params = init_encoder_params(enc_cfg, rng)
         self.influence_params = {

@@ -11,7 +11,7 @@ hold an output's array, and each closure saves only what it reads:
 
 * ``add``, ``sub``: the input shapes that need a gradient;
 * ``mul``, ``matmul``: the operand arrays (each grad reads the other one);
-* ``relu``, ``square``: the input array;
+* ``relu``: the mask ``x > 0``; ``square``: the input array;
 * ``reshape``, ``narrow``, ``sum_axis``, ``mean_axis``: the input shape;
   ``concat_last_dim``: the widths and which parts need a gradient;
   ``split_heads``: the inverse axis permutation and the input shape;
@@ -495,12 +495,13 @@ def gelu(a):
 
 def relu(a):
     x = a.data
-    out = np.maximum(x, 0.0)
+    # the backward reads only where x > 0: a bool mask, an eighth of x
+    mask = x > 0.0 if a.requires_grad else None
 
     def bwd(g):
-        return (g * (x > 0.0),)
+        return (g * mask,)
 
-    return _record(out, (a,), bwd)
+    return _record(np.maximum(x, 0.0), (a,), bwd)
 
 
 def square(a):

@@ -65,7 +65,11 @@ def cosine_lr(epoch, cfg):
 
 
 class AdamW:
-    """Adam with decoupled weight decay applied before the moment update."""
+    """Adam with decoupled weight decay applied before the moment update.
+
+    ``step`` consumes the gradients: each parameter's update is computed
+    in its ``grad`` array, and ``grad`` is ``None`` afterwards.
+    """
 
     def __init__(self, params):
         self.params = dict(params)
@@ -89,20 +93,25 @@ class AdamW:
                 raise DivergenceError(f"non-finite gradient in parameter {name!r}")
             p.data *= 1.0 - lr_t * WEIGHT_DECAY
             # In place, with the rounding of m = b1*m + (1-b1)*g, v likewise,
-            # and p -= lr_t * (m/bias1) / (sqrt(v/bias2) + eps): fresh arrays
-            # cost page faults that outweigh the arithmetic.
+            # and p -= lr_t * (m/bias1) / (sqrt(v/bias2) + eps).  One scratch
+            # array holds (1-b1)*g, then (1-b2)*g*g, then the denominator;
+            # the update goes into g's own array once g is last read.
             m, v = self._m[name], self._v[name]
+            s = np.multiply(1.0 - b1, g)
             m *= b1
-            m += (1.0 - b1) * g
+            m += s
+            np.multiply(1.0 - b2, g, out=s)
+            s *= g
             v *= b2
-            v += (1.0 - b2) * g * g
-            denom = v / bias2
-            np.sqrt(denom, out=denom)
-            denom += ADAM_EPS
-            update = m / bias1
+            v += s
+            np.divide(v, bias2, out=s)
+            np.sqrt(s, out=s)
+            s += ADAM_EPS
+            update = np.divide(m, bias1, out=g)
             update *= lr_t
-            update /= denom
+            update /= s
             p.data -= update
+            p.grad = None
 
 
 def mse_loss(forecast, target):
@@ -140,16 +149,27 @@ def _train_step(model, batch, optimizer, lr_t, revin):
     """Forward, loss, backward and update on one batch; returns the loss.
 
     A non-finite loss is returned without updating anything.  The step's
-    graph is referenced only from here, so it is freed on return, before
-    the next step's forward builds a new one.
+    graph is referenced only by ``loss``, so dropping it after ``backward``
+    frees the graph before the update runs.
     """
     optimizer.zero_grads()
     loss = mse_loss(model.forward(batch, revin=revin), batch.target_future)
     value = loss.item()
     if math.isfinite(value):
         backward(loss)
+        del loss
         optimizer.step(lr_t)
     return value
+
+
+def _snapshot(params, into=None):
+    """Copy every parameter's array into ``into``, a name -> array dict made
+    by the first call; returns it.  Later calls reuse its arrays."""
+    if into is None:
+        into = {k: np.empty_like(p.data) for k, p in params.items()}
+    for k, p in params.items():
+        np.copyto(into[k], p.data)
+    return into
 
 
 def _epoch_permutation(seed, epoch, n):
@@ -202,7 +222,7 @@ def train(model, dataset, cfg):
         _, val_mse = score(val_split, f"validation loss at epoch {epoch}")
         val_losses.append(val_mse)
         if best_state is None or val_mse < val_losses[best_epoch - 1]:
-            best_state = {k: p.data.copy() for k, p in params.items()}
+            best_state = _snapshot(params, best_state)
             best_epoch = epoch
         elif epoch - best_epoch >= cfg.patience:
             break

@@ -9,10 +9,12 @@ from hypothesis import HealthCheck, given, settings
 
 from cgpt.baselines import MlpBaseline
 from cgpt.checkpoint import load_checkpoint, save_checkpoint
-from cgpt.cli import model_from_checkpoint
+from cgpt.cli import _checkpoint_model
 from cgpt.model import CgptConfig, CgptModel, cgpt_forward
 from cgpt.layers import EncoderConfig
 from cgpt.preprocessing import PatchConfig, WindowBatch
+
+from conftest import traced_peak
 
 
 def small_params():
@@ -246,15 +248,6 @@ def test_repeated_header_key_or_entry_name_is_rejected(tmp_path, header, entries
 
 # ------------------------------------------------------------ memory per copy
 
-def traced_peak(fn):
-    """(result, peak bytes traced while ``fn`` ran)."""
-    tracemalloc.start()
-    try:
-        return fn(), tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 @pytest.fixture
 def mlp_checkpoint(tmp_path):
     """An mlp checkpoint (about 3.5 MB of weights) and its parameter bytes."""
@@ -281,8 +274,22 @@ def test_load_holds_one_copy_of_the_parameters(mlp_checkpoint):
     assert peak <= 1.1 * nbytes
 
 
-def test_load_and_rebuild_hold_two_copies_of_the_parameters(mlp_checkpoint):
+def test_checkpoint_rebuild_holds_one_copy_of_the_parameters(mlp_checkpoint):
+    """The rebuilt model draws no weights and adopts the loaded arrays."""
     path, nbytes = mlp_checkpoint
-    model, peak = traced_peak(lambda: model_from_checkpoint(*load_checkpoint(path)))
-    assert peak <= 2.2 * nbytes
-    assert isinstance(model, MlpBaseline)
+    (model, header), peak = traced_peak(lambda: _checkpoint_model(path))
+    assert peak <= 1.1 * nbytes
+    assert isinstance(model, MlpBaseline) and header["kind"] == "mlp"
+    saved = MlpBaseline(96, 1, 4).parameters()
+    for name, p in model.parameters().items():
+        assert p.data.flags.writeable and p.data.flags.c_contiguous, name
+        assert p.data.tobytes() == saved[name].data.tobytes(), name
+
+
+def test_seedless_model_draws_no_weights_until_its_arrays_are_loaded():
+    model, peak = traced_peak(lambda: MlpBaseline(96, 1, 4, seed=None))
+    assert peak < 64 * 1024
+    arrays = {k: v.data.copy() for k, v in MlpBaseline(96, 1, 4, seed=3).parameters().items()}
+    model.load_arrays(arrays)
+    for name, p in model.parameters().items():
+        assert p.data is arrays[name], name

@@ -1,4 +1,3 @@
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -17,6 +16,8 @@ from cgpt.datasets import (
     split_borders,
 )
 from cgpt.preprocessing import apply_standardizer, fit_standardizer
+
+from conftest import traced_peak
 
 
 def lagged(ds, channel, lag, max_lag):
@@ -316,12 +317,7 @@ def test_load_csv_parity_rejected(tmp_path, text, target, message):
 def test_load_csv_holds_about_one_copy_of_the_values(tmp_path, capsys):
     p = tmp_path / "gen.csv"
     assert main(["gen-data", "--dataset", "additive", "--length", "6000", "--out", str(p)]) == 0
-    tracemalloc.start()
-    try:
-        ds = load_csv(p, target="C3")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    ds, peak = traced_peak(lambda: load_csv(p, target="C3"))
     assert ds.values.shape == (6000, 4)
     assert peak <= 2 * ds.values.nbytes
 

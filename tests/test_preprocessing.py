@@ -1,5 +1,7 @@
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from cgpt import baselines, model, preprocessing
 from cgpt.baselines import DLinearModel, MlpBaseline
@@ -234,6 +236,31 @@ def test_window_starts_overlap_clamped_at_zero():
 def test_window_starts_too_short():
     with pytest.raises(ValueError, match="at least"):
         window_starts((0, 50), 96, 1)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(start=st.integers(0, 200), rows=st.integers(0, 200), l_ctx=st.integers(1, 120),
+       h_pred=st.integers(1, 60), overlap=st.booleans())
+def test_window_starts_are_every_window_that_fits(start, rows, l_ctx, h_pred, overlap):
+    """Against a brute-force oracle: a start is valid when its target lies
+    inside the split and its context starts at or after
+    max(start - l_ctx, 0) (overlap on) or start (overlap off)."""
+    split = (start, start + rows)
+    floor = max(start - l_ctx, 0) if overlap else start
+
+    def valid(w):
+        return w >= floor and w + l_ctx >= start and w + l_ctx + h_pred <= split[1]
+
+    if not any(valid(w) for w in range(split[1] + 1)):
+        with pytest.raises(ValueError, match=rf"split \({start}, {split[1]}\) holds no window"):
+            window_starts(split, l_ctx, h_pred, allow_context_overlap=overlap)
+        return
+    s = window_starts(split, l_ctx, h_pred, allow_context_overlap=overlap)
+    assert np.array_equal(s, np.arange(s[0], s[0] + len(s)))  # consecutive
+    assert all(valid(w) for w in s)
+    assert not valid(s[0] - 1) and not valid(s[-1] + 1)  # maximal
+    targets = s[:, None] + l_ctx + np.arange(h_pred)
+    assert (targets >= start).all() and (targets < split[1]).all()
 
 
 def test_targets_never_cross_split_boundary():

@@ -6,7 +6,6 @@ import subprocess
 import sys
 import threading
 import time
-import tracemalloc
 import warnings
 import weakref
 from pathlib import Path
@@ -34,6 +33,8 @@ from cgpt.tensor import (
     transpose_last_two,
     zero_grads,
 )
+
+from conftest import traced_peak
 
 SEEDS = list(range(10))
 
@@ -231,6 +232,28 @@ def test_elementwise_unary_values():
     assert np.array_equal(T.square(Tensor(x)).data, [4.0, 0.0, 9.0])
 
 
+def test_relu_gradient_bits_on_signed_zero_nan_and_inf():
+    """relu saves the bool mask x > 0, not x, and its backward has the bits
+    of g * (x > 0): -0.0 for a negative g where the mask is 0, NaN kept."""
+    x = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, 2.0, -2.0])
+    out = T.relu(Tensor(x, requires_grad=True))
+    saved = [c.cell_contents for c in out._bwd.__closure__]
+    assert [(a.dtype, a.shape) for a in saved] == [(np.bool_, x.shape)]
+    cases = [
+        (np.full(7, -3.0), [-0.0, -0.0, -0.0, -3.0, -0.0, -3.0, -0.0]),
+        (np.array([np.nan, 1.0, -0.0, np.nan, np.inf, -0.0, 5.0]),
+         [np.nan, 0.0, -0.0, np.nan, np.nan, -0.0, 0.0]),
+    ]
+    for g, expected in cases:
+        with np.errstate(invalid="ignore"):  # inf * 0
+            (gx,) = out._bwd(g)
+            assert gx.tobytes() == (g * (x > 0.0)).tobytes()
+        expected = np.array(expected)
+        assert np.array_equal(gx, expected, equal_nan=True)
+        assert np.array_equal(np.signbit(gx[~np.isnan(gx)]), np.signbit(expected[~np.isnan(gx)]))
+    assert T.relu(Tensor(x))._node is None  # no gradient needed: no mask kept
+
+
 def test_reductions_values():
     x = Tensor(np.arange(6.0).reshape(2, 3))
     assert sum_axis(x).data == 15.0
@@ -260,12 +283,7 @@ def test_reshape_of_a_strided_view_makes_one_copy():
     rng = np.random.default_rng(5)
     base = rng.standard_normal((64, 4, 96))
     x = Tensor(base.transpose(0, 2, 1), requires_grad=True)  # not C-contiguous
-    tracemalloc.start()
-    try:
-        out = reshape(x, (64, 384))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    out, peak = traced_peak(lambda: reshape(x, (64, 384)))
     assert base.nbytes <= peak < base.nbytes + 4096
     assert out.data.flags.c_contiguous
     assert np.array_equal(out.data, base.transpose(0, 2, 1).reshape(64, 384))

@@ -7,6 +7,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+from cgpt import training
 from cgpt.baselines import DLinearModel, MlpBaseline
 from cgpt.datasets import (
     SplitPolicy,
@@ -35,6 +36,8 @@ from cgpt.training import (
     run_seeds,
     train,
 )
+
+from conftest import traced_peak
 
 TINY_ENC = EncoderConfig(d_model=8, d_ff=16, n_heads=1, e_layers=1,
                          patch=PatchConfig(8, 8), n_p_max=8)
@@ -155,6 +158,20 @@ def test_adamw_in_place_step_is_byte_identical_to_out_of_place_formula():
         opt.step(lr_t)
         for k, p in params.items():
             assert p.data.tobytes() == ref[k].tobytes(), (k, t)
+
+
+def test_adamw_step_consumes_the_gradients_with_one_scratch_array():
+    """The update is computed in the gradient's array, so a step's peak is
+    one parameter-sized scratch plus isfinite's bool mask; computing the
+    update in fresh arrays held two parameter-sized temporaries at once."""
+    rng = np.random.default_rng(6)
+    p = Tensor(rng.standard_normal((256, 256)), requires_grad=True)
+    opt = AdamW({"p": p})
+    for _ in range(2):
+        p.grad = rng.standard_normal((256, 256))
+        _, peak = traced_peak(lambda: opt.step(1e-3))
+        assert p.grad is None
+        assert peak <= 1.25 * p.data.nbytes, peak / p.data.nbytes
 
 
 def test_adamw_rejects_non_finite_grad():
@@ -379,6 +396,81 @@ def test_wide_training_step_peak_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 20 * 2 ** 20, f"{peak / 2 ** 20:.1f} MiB"
+
+
+def test_mlp_epoch_holds_one_graph_one_gradient_set_and_one_scratch():
+    """One epoch of the c04-shaped mlp (4 channels x 96 steps, hidden 512,
+    batch 128), traced from before the model is built.  Its live set is the
+    parameters, AdamW's two moments, one gradient set, one scratch array
+    the size of the largest parameter, and one step's graph.  The graph's
+    allowance is twice what the forward saves for backward: the flattened
+    input, two hidden activations and their relu masks (1.5 MiB).  The bound
+    is 19.0 MiB and the epoch peaks at 18.0 MiB.  Holding the graph through
+    the update, every gradient through validation, and relu's inputs instead
+    of masks peaked at 20.8 MiB."""
+    ds = small_additive(length=2048, l_ctx=96)
+    cfg = TrainConfig(lr=3e-3, batch_size=128, max_epochs=1, patience=1)
+
+    def fit():
+        model = MlpBaseline(96, 1, n_vars=4, hidden=512)
+        train(model, ds, cfg)
+        return model
+
+    model, peak = traced_peak(fit)
+    sizes = [p.data.nbytes for p in model.parameters().values()]
+    saved = 8 * cfg.batch_size * (96 * 4 + 2 * 512) + cfg.batch_size * 2 * 512
+    bound = 4 * sum(sizes) + max(sizes) + 2 * saved
+    assert peak <= bound, f"{peak / 2 ** 20:.2f} MiB > {bound / 2 ** 20:.2f} MiB"
+
+
+def test_update_runs_after_the_step_graph_is_freed(monkeypatch):
+    """By the time AdamW.step runs, the step's loss tensor (and so the graph
+    hanging off it) is gone; afterwards no parameter holds a gradient."""
+    losses = []
+
+    def watched_loss(forecast, target):
+        out = mse_loss(forecast, target)
+        losses.append(weakref.ref(out))
+        return out
+
+    step = AdamW.step
+
+    def watched_step(self, lr_t):
+        assert losses and losses[-1]() is None, f"step {len(losses)}"
+        step(self, lr_t)
+        assert all(p.grad is None for p in self.params.values())
+
+    monkeypatch.setattr(training, "mse_loss", watched_loss)
+    monkeypatch.setattr(AdamW, "step", watched_step)
+    gc.disable()
+    try:
+        train(MlpBaseline(32, 1, n_vars=4, hidden=16), small_additive(),
+              TrainConfig(batch_size=64, max_epochs=1))
+    finally:
+        gc.enable()
+    assert len(losses) > 3
+
+
+def test_best_state_that_improves_twice_reuses_its_buffers(monkeypatch):
+    snapshots = []
+    snapshot = training._snapshot
+
+    def watched(params, into=None):
+        out = snapshot(params, into)
+        snapshots.append((out, [id(a) for a in out.values()]))
+        return out
+
+    monkeypatch.setattr(training, "_snapshot", watched)
+    model = DLinearModel(32, 1, seed=3)
+    result = train(model, small_additive(), TrainConfig(batch_size=64, max_epochs=12,
+                                                        patience=12, seed=3))
+    improvements = [i for i, v in enumerate(result.val_losses)
+                    if v < min(result.val_losses[:i], default=math.inf)]
+    assert len(improvements) >= 2 and len(snapshots) == len(improvements)
+    first, ids = snapshots[0]
+    assert all(out is first and now == ids for out, now in snapshots)
+    for name, p in model.parameters().items():
+        assert p.data.tobytes() == first[name].tobytes(), name
 
 
 def test_every_model_family_learns_in_one_epoch():
