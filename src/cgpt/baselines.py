@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .checkpoint import header_value
 from .layers import glorot_uniform, init_rng, load_param_arrays
 from .preprocessing import revin_forecast
 from .tensor import Tensor, matmul, relu, reshape
@@ -48,9 +47,8 @@ class _Baseline:
 
     @classmethod
     def from_header(cls, header, seed=0):
-        """Inverse of config_header(); absent hyperparameters keep their defaults."""
-        return cls(**{k: header_value(header, k, int) for k in cls.header_keys if k in header},
-                   seed=seed)
+        """Inverse of config_header() on read values; absent ones keep their defaults."""
+        return cls(**{k: header[k] for k in cls.header_keys if k in header}, seed=seed)
 
 
 class DLinearModel(_Baseline):

@@ -1,4 +1,4 @@
-"""Binary parameter snapshots.
+"""Binary parameter snapshots, and the key=value text format of their headers.
 
 Layout (all integers little-endian uint32, floats little-endian float64):
 
@@ -21,14 +21,41 @@ import numpy as np
 _U32 = struct.Struct("<I")
 
 
-def header_value(header, key, convert):
-    """``convert(header[key])``; a value it rejects raises a ValueError
-    that names the key and the value."""
+def format(values):
+    """``key=value`` text, one line per entry in insertion order."""
+    return "".join(f"{k}={v}\n" for k, v in values.items())
+
+
+def parse(text, where="line ", read=None):
+    """Inverse of ``format``: lines split at the first '=', key and value
+    stripped, blank and '#' lines skipped.  ``read(key, value, lineno)``
+    converts each value.  A line without '=' or a key set twice raises a
+    ValueError starting "<where><lineno>: "."""
+    values, first = {}, {}
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, value = line.partition("=")
+        key, value = key.strip(), value.strip()
+        if not sep:
+            raise ValueError(f"{where}{lineno}: expected key=value, got {line!r}")
+        value = value if read is None else read(key, value, lineno)
+        if key in first:
+            raise ValueError(f"{where}{lineno}: key {key!r} already set on line {first[key]}")
+        values[key], first[key] = value, lineno
+    return values
+
+
+def read_value(where, key, text, convert, error=ValueError):
+    """``convert(text)``; a rejected value raises ``error`` "<where>key <key>:
+    <problem>", the problem being the converter's message, or "cannot parse
+    <text>" for a plain ValueError (int's, say)."""
     try:
-        return convert(header[key])
-    except ValueError:
-        raise ValueError(f"header key {key}: cannot read {header[key]!r} "
-                         f"as {convert.__name__}") from None
+        return convert(text)
+    except ValueError as err:
+        problem = f"cannot parse {text!r}" if type(err) is ValueError else err
+        raise error(f"{where}key {key}: {problem}") from None
 
 
 def save_checkpoint(path, config, params):
@@ -39,7 +66,7 @@ def save_checkpoint(path, config, params):
     failed save can leave a partial file; write to a temporary name and
     move it into place where that matters.
     """
-    header = "".join(f"{k}={v}\n" for k, v in config.items()).encode("utf-8")
+    header = format(config).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(_U32.pack(len(header)) + header + _U32.pack(len(params)))
         for name in sorted(params):
@@ -56,9 +83,9 @@ def load_checkpoint(path):
 
     Each entry is read straight into its own array.  Every declared size is
     checked against the bytes left in the file before anything is read or
-    allocated, and an entry holding a non-finite value is rejected, as is a
-    header key or an entry name that appears twice.  Every defect raises a
-    ValueError that names the file.
+    allocated, and an entry holding a non-finite value is rejected, as is an
+    entry name that appears twice; the header is read by ``parse``.  Every
+    defect raises a ValueError that names the file.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -90,15 +117,7 @@ def load_checkpoint(path):
             except UnicodeDecodeError:
                 raise ValueError(f"{path}: {what} at byte {start} is not utf-8") from None
 
-        header = take_text("header")
-        config = {}
-        for line in header.splitlines():
-            key, sep, value = line.partition("=")
-            if not sep:
-                raise ValueError(f"{path}: malformed header line {line!r}")
-            if key in config:
-                raise ValueError(f"{path}: header key {key!r} appears twice")
-            config[key] = value
+        config = parse(take_text("header"), f"{path}: header line ")
 
         params = {}
         for _ in range(take_u32()):

@@ -8,10 +8,12 @@ Subcommands::
     cgpt eval     --checkpoint runs/.../model_96to1.ckpt --dataset additive
     cgpt report   --results runs/ --experiment 2 --out table2.csv
 
-``train`` and ``eval`` also accept ``--config FILE`` pointing at a flat
-``key=value`` text file; explicit flags override file values.  Exit codes:
-0 success, 1 usage error, 2 runtime failure.  The ``CGPT_DATA_DIR``
-environment variable names the directory holding real-world CSV files.
+``train`` and ``eval`` also accept ``--config FILE``; explicit flags
+override file values.  Config files, records and checkpoint headers are
+``key=value`` text (``checkpoint.parse``); a defect names the file and the
+line or key.  Exit codes: 0 success, 1 usage error (a config file's too),
+2 runtime failure.  The ``CGPT_DATA_DIR`` environment variable names the
+directory holding real-world CSV files.
 """
 
 from __future__ import annotations
@@ -25,15 +27,12 @@ from collections import Counter
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
-import numpy as np
-
 from .baselines import DLinearModel, MlpBaseline
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import format, load_checkpoint, parse, read_value, save_checkpoint
 from .datasets import (SplitPolicy, SyntheticConfig, generate_additive,
                        generate_interactive, load_csv, prepare_dataset)
 from .model import CausalGraph, CgptModel, Variant
-from .training import (TrainConfig, evaluate, mean_std, parse_record, result_record,
-                       run_seeds, train)
+from .training import TrainConfig, evaluate, mean_std, result_record, run_seeds, train
 
 # Model id -> class.  The classes turn a flat header of hyperparameters
 # into a model (from_header) and back (config_header).
@@ -58,9 +57,9 @@ _REAL_CSVS = {
 }
 
 
-class UsageError(argparse.ArgumentTypeError):
-    """Bad invocation (flags, config file, ids); maps to exit code 1.  When
-    a flag's converter raises it, argparse names the flag in the message."""
+class UsageError(argparse.ArgumentTypeError, ValueError):
+    """Bad invocation (flags, config file, ids); exit code 1.  argparse names
+    the flag whose converter raised it, and ``read_value`` keeps its message."""
 
 
 @dataclass
@@ -96,31 +95,22 @@ def _parse_seeds(text):
     return seeds
 
 
-def _parse_yes_no(text):
-    if text not in ("yes", "no"):
-        raise UsageError(f"expected yes or no, got {text!r}")
-    return text == "yes"
+def _checked(convert, accept, expected):
+    """A converter: ``convert(text)``, a UsageError unless ``accept`` takes it."""
+    def checked(text):
+        value = convert(text)
+        if not accept(value):
+            raise UsageError(f"expected {expected}, got {text!r}")
+        return value
+    checked.__name__ = convert.__name__  # argparse says "invalid int value: 'x'"
+    return checked
 
 
-def _positive_float(text):
-    value = float(text)
-    if not 0 < value < math.inf:
-        raise UsageError(f"expected a finite number above 0, got {text!r}")
-    return value
-
-
-def _positive_int(text):
-    value = int(text)
-    if value < 1:
-        raise UsageError(f"expected an integer of at least 1, got {text!r}")
-    return value
-
-
-def _seed(text):
-    value = int(text)
-    if not 0 <= value < 2 ** 128:  # numpy's Philox takes keys in this range
-        raise UsageError(f"expected a seed from 0 to 2**128 - 1, got {text!r}")
-    return value
+_parse_yes_no = _checked({"yes": True, "no": False}.get, lambda v: v is not None, "yes or no")
+_positive_float = _checked(float, lambda v: 0 < v < math.inf, "a finite number above 0")
+_positive_int = _checked(int, lambda v: v >= 1, "an integer of at least 1")
+_seed = _checked(int, lambda v: 0 <= v < 2 ** 128,  # numpy's Philox takes keys in this range
+                 "a seed from 0 to 2**128 - 1")
 
 
 def _model_id(text):
@@ -142,38 +132,44 @@ _CONVERTERS = {
     "lr": _positive_float, "batch": _positive_int, "max_epochs": _positive_int,
     "patience": _positive_int,
 }
+_CONFIG_KEYS = frozenset(_CONVERTERS)
+# Keys only checkpoint headers and result records hold.
+_CONVERTERS.update(l_ctx=_positive_int, h_pred=_positive_int, n_vars=_positive_int,
+                   test_mae=float, test_mse=float)
+
+
+def _parse_file(path, where, error, read=None):
+    """``parse`` of the text file at ``path``; each defect raises ``error``."""
+    try:
+        return parse(path.read_text(), where, read)
+    except UnicodeDecodeError as err:  # a ValueError that names no file
+        raise error(f"{path}: {err}") from None
+    except ValueError as err:
+        raise error(err) from None
 
 
 def read_config(path):
-    """Flat key=value file -> dict of converted values; '#' starts a comment.
-    A key may appear once."""
+    """Config file -> dict of converted values, for the keys in
+    ``_CONFIG_KEYS``; every defect is a UsageError naming the file."""
     path = Path(path)
     if not path.exists():
         raise UsageError(f"config file not found: {path}")
-    values, first_line = {}, {}
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if "=" not in stripped:
-            raise UsageError(f"{path}:{lineno}: expected key=value, got {stripped!r}")
-        key, _, value = stripped.partition("=")
-        key, value = key.strip(), value.strip()
-        if key not in _CONVERTERS:
-            raise UsageError(f"{path}:{lineno}: unknown key {key!r}; "
-                             f"valid keys: {', '.join(sorted(_CONVERTERS))}")
-        try:
-            values[key] = _CONVERTERS[key](value)
-        except UsageError as err:
-            raise UsageError(f"{path}:{lineno}: config key {key}: {err}") from None
-        except ValueError:
-            raise UsageError(
-                f"{path}:{lineno}: config key {key}: cannot parse {value!r}") from None
-        if key in first_line:
-            raise UsageError(f"{path}:{lineno}: key {key!r} already set on line "
-                             f"{first_line[key]}")
-        first_line[key] = lineno
-    return values
+
+    def read(key, text, lineno):
+        where = f"{path}:{lineno}: "
+        if key not in _CONFIG_KEYS:
+            raise UsageError(f"{where}unknown key {key!r}; "
+                             f"valid keys: {', '.join(sorted(_CONFIG_KEYS))}")
+        return read_value(where + "config ", key, text, _CONVERTERS[key], UsageError)
+
+    return _parse_file(path, f"{path}:", UsageError, read)
+
+
+def _read_stored(values, where):
+    """A header's or record's ``values``, each key ``_CONVERTERS`` holds
+    converted; a rejected value is a ValueError naming ``where`` and the key."""
+    return {key: read_value(where, key, text, _CONVERTERS[key]) if key in _CONVERTERS
+            else text for key, text in values.items()}
 
 
 def build_spec(args):
@@ -297,7 +293,7 @@ def model_from_checkpoint(header, arrays):
     cls = _KINDS.get(header.get("kind"))
     if cls is None:
         raise ValueError(f"checkpoint names unknown model kind {header.get('kind')!r}")
-    model = cls.from_header(header, seed=None)
+    model = cls.from_header(_read_stored(header, "header "), seed=None)
     problems = [f"{key} missing" if key not in header else
                 f"{key}={header[key]} rebuilds as {value}"
                 for key, value in model.config_header().items()
@@ -426,42 +422,26 @@ def cmd_train(args):
 
 
 def _checkpoint_model(path):
-    """(model, header) of the checkpoint at ``path``.  The model adopts the
-    checkpoint's arrays, so the weights are held once."""
+    """(model, read header values) of the checkpoint at ``path``.  The model
+    adopts the checkpoint's arrays, so the weights are held once."""
     header, arrays = load_checkpoint(path)
     try:
-        return model_from_checkpoint(header, arrays), header
+        return model_from_checkpoint(header, arrays), _read_stored(header, "header ")
     except ValueError as err:
         raise ValueError(f"{path}: {err}") from None
 
 
-def _header_setting(path, header, key, convert, default):
-    """``convert(header[key])``, or ``default`` when the header lacks ``key``."""
-    if key not in header:
-        return default
-    try:
-        return convert(header[key])
-    except UsageError as err:
-        raise ValueError(f"{path}: header key {key}: {err}") from None
-    except ValueError:
-        raise ValueError(f"{path}: header key {key}: cannot parse {header[key]!r}") from None
-
-
 def cmd_eval(args):
     options = read_config(args.config) if args.config else {}
-    model, header = _checkpoint_model(args.checkpoint)
-    stored_revin = _header_setting(args.checkpoint, header, "revin", _parse_yes_no, False)
-    stored_batch = _header_setting(args.checkpoint, header, "batch", _positive_int,
-                                   TrainConfig.batch_size)
+    model, stored = _checkpoint_model(args.checkpoint)
     prepared = _prepared_dataset(args.dataset, options, model.l_ctx, model.h_pred)
 
-    revin = stored_revin if args.revin is None else args.revin
+    revin = stored.get("revin", False) if args.revin is None else args.revin
     # the batch size sets the order of the error sums, so score at the run's:
     # the config file's, else the one the checkpoint records
     mae, mse = evaluate(model, prepared, prepared.borders[2],
-                        options.get("batch", stored_batch), revin)
-    print(f"test_mae={mae!r}")
-    print(f"test_mse={mse!r}")
+                        options.get("batch", stored.get("batch", TrainConfig.batch_size)), revin)
+    print(format({"test_mae": repr(mae), "test_mse": repr(mse)}), end="")
     return 0
 
 
@@ -470,31 +450,18 @@ def cmd_eval(args):
 _EXPERIMENT_TASKS = {1: ((96, 96),), 2: ((96, 1),), 3: ((96, 96), (96, 1))}
 
 
-# Keys report_rows reads from each record, with the converter each must pass.
-_RECORD_KEYS = {"dataset": str, "model": _model_id, "revin": _parse_yes_no, "l_ctx": int,
-                "h_pred": int, "test_mae": float, "test_mse": float}
-
-
 def _collect_records(results_dir):
+    """Every record under ``results_dir``, checked for the keys report_rows reads."""
     root = Path(results_dir)
     records = []
     for path in sorted(root.rglob("result_*.txt")):
-        try:
-            record = parse_record(path.read_text())
-        except ValueError as err:
-            raise RuntimeError(f"{path}: {err}") from None
-        for key, kind in _RECORD_KEYS.items():
-            if key not in record:
-                raise RuntimeError(f"{path}: key {key} missing")
-            try:
-                value = kind(record[key])
-            except UsageError as err:
-                raise RuntimeError(f"{path}: key {key}: {err}") from None
-            except ValueError:
-                raise RuntimeError(
-                    f"{path}: key {key}: cannot read {record[key]!r} as {kind.__name__}") from None
-            if kind is float and not np.isfinite(value):
-                raise RuntimeError(f"{path}: {key}={record[key]} is not finite")
+        record = _parse_file(path, f"{path}: line ", ValueError)
+        stored = _read_stored(record, f"{path}: ")
+        for key in ("dataset", "model", "revin", "l_ctx", "h_pred", "test_mae", "test_mse"):
+            if key not in stored:
+                raise ValueError(f"{path}: key {key} missing")
+            if isinstance(stored[key], float) and not math.isfinite(stored[key]):
+                raise ValueError(f"{path}: {key}={record[key]} is not finite")
         records.append(record)
     if not records:
         raise RuntimeError(f"no result_*.txt records found under {root}")

@@ -20,7 +20,6 @@ from enum import Enum
 
 import numpy as np
 
-from .checkpoint import header_value
 from .layers import (
     EncoderConfig,
     embed_patches,
@@ -92,6 +91,7 @@ class CgptConfig:
     variant: Variant = Variant.LEAKY_PAIRWISE
 
     def __post_init__(self):
+        object.__setattr__(self, "variant", Variant.from_id(self.variant))
         if self.l_ctx < self.encoder.patch.patch_len:
             raise ValueError(
                 f"context {self.l_ctx} shorter than patch_len {self.encoder.patch.patch_len}")
@@ -167,11 +167,10 @@ class CgptModel:
 
     @classmethod
     def from_header(cls, header, seed=0):
-        """Inverse of config_header(); absent hyperparameters keep their defaults."""
+        """Inverse of config_header() on read values; absent ones keep their defaults."""
         def build(config_cls, **nested):
-            given = {f.name: header_value(header, f.name, type(f.default))
-                     for f in fields(config_cls) if f.name in header}
-            return config_cls(**nested, **given)
+            return config_cls(**nested, **{f.name: header[f.name] for f in fields(config_cls)
+                                           if f.name in header and f.name not in nested})
 
         encoder = build(EncoderConfig, patch=build(PatchConfig))
         return cls(build(CgptConfig, encoder=encoder), seed=seed)

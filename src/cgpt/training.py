@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .checkpoint import format, parse
 from .model import select_contexts
 from .preprocessing import iter_window_batches, window_starts, gather_windows, WindowBatch
 from .tensor import Tensor, backward, mean_axis, no_grad, square, zero_grads
@@ -268,19 +269,9 @@ def result_record(result, meta):
         "train_losses": ",".join(repr(v) for v in result.train_losses),
         "val_losses": ",".join(repr(v) for v in result.val_losses),
     })
-    return "".join(f"{k}={v}\n" for k, v in fields.items())
+    return format(fields)
 
 
 def parse_record(text):
-    """Inverse of result_record, values kept as strings."""
-    out = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        if "=" not in line:
-            raise ValueError(f"line {lineno}: expected key=value, got {line!r}")
-        key, _, value = line.partition("=")
-        if key in out:
-            raise ValueError(f"line {lineno}: key {key!r} appears twice")
-        out[key] = value
-    return out
+    """Inverse of result_record, values kept as strings (``checkpoint.parse``)."""
+    return parse(text)

@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from cgpt.baselines import MlpBaseline
-from cgpt.checkpoint import load_checkpoint, save_checkpoint
+from cgpt.baselines import DLinearModel, MlpBaseline
+from cgpt.checkpoint import format, load_checkpoint, parse, save_checkpoint
 from cgpt.cli import _checkpoint_model
 from cgpt.model import CgptConfig, CgptModel, cgpt_forward
 from cgpt.layers import EncoderConfig
 from cgpt.preprocessing import PatchConfig, WindowBatch
+from cgpt.training import RunResult, result_record
 
 from conftest import traced_peak
 
@@ -122,7 +123,7 @@ entry = hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=3, min_side
 names = st.text(st.characters(exclude_categories=("Cs",)), max_size=12)
 
 
-@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(max_examples=60, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(params=st.dictionaries(names, entry, max_size=4))
 def test_roundtrip_over_random_names_and_shapes(tmp_path, params):
     p = tmp_path / "prop.ckpt"
@@ -184,7 +185,7 @@ def test_every_single_bit_flip_loads_or_raises_value_error(tmp_path):
     assert outcomes["loaded"] and outcomes["rejected"]
 
 
-@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_random_byte_damage_loads_or_raises_value_error(tmp_path, data):
     blob = bytearray(corpus_checkpoint(tmp_path))
@@ -236,7 +237,7 @@ def raw_checkpoint(header, entries):
 
 
 @pytest.mark.parametrize("header, entries, message", [
-    (b"kind=dlinear\nkind=mlp\n", [(b"w", [1.0, 1.0, 1.0])], "header key 'kind' appears twice"),
+    (b"kind=dlinear\nkind=mlp\n", [(b"w", [1.0, 1.0, 1.0])], "header line 2: key 'kind' already set on line 1"),
     (b"kind=dlinear\n", [(b"w", [0.0]), (b"w", [1.0, 1.0, 1.0])], "entry 'w' appears twice"),
 ], ids=["header_key", "entry_name"])
 def test_repeated_header_key_or_entry_name_is_rejected(tmp_path, header, entries, message):
@@ -244,6 +245,54 @@ def test_repeated_header_key_or_entry_name_is_rejected(tmp_path, header, entries
     p.write_bytes(raw_checkpoint(header, entries))
     with pytest.raises(ValueError, match=f"{p}: {message}"):
         load_checkpoint(p)
+
+
+# ------------------------------------------------------------ key=value text
+
+# A key or value that reads back as itself: non-empty, no '=', no character
+# that splits a line, no leading '#' and no surrounding whitespace.
+kv_text = st.text(st.characters(exclude_categories=("Cs", "Cc", "Zl", "Zp"),
+                                exclude_characters="="), min_size=1, max_size=8).filter(
+    lambda s: s == s.strip() and not s.startswith("#"))
+
+
+@settings(max_examples=200)
+@given(values=st.dictionaries(kv_text, kv_text, max_size=6))
+def test_parse_inverts_format(values):
+    assert parse(format(values)) == values
+
+
+@pytest.mark.parametrize("text, where, message", [
+    ("a=1\nno equals\n", "line ", "line 2: expected key=value, got 'no equals'"),
+    ("a=1\n\n# note\n b = 2\na = 3\n", "line ", "line 5: key 'a' already set on line 1"),
+    ("a=1\na=1\n", "exp.cfg:", "exp.cfg:2: key 'a' already set on line 1"),
+], ids=["no_equals_sign", "repeated_key", "where"])
+def test_parse_names_the_line_of_a_defect(text, where, message):
+    with pytest.raises(ValueError) as err:
+        parse(text, where)
+    assert str(err.value) == message
+
+
+def test_parse_strips_and_skips_blank_and_comment_lines():
+    assert parse("# c\n\n  lr = 0.1 \nx==y=\n") == {"lr": "0.1", "x": "=y="}
+
+
+def test_record_and_header_bytes_are_pinned(tmp_path):
+    result = RunResult(seed=3, test_mae=0.125, test_mse=0.1,
+                       train_losses=[1.0, 0.5], val_losses=[0.7, 0.6])
+    meta = {"dataset": "additive", "model": "dlinear", "revin": "no", "l_ctx": 96, "h_pred": 1}
+    assert result_record(result, meta) == (
+        "dataset=additive\nmodel=dlinear\nrevin=no\nl_ctx=96\nh_pred=1\nseed=3\n"
+        "best_epoch=2\nepochs_run=2\ntest_mae=0.125\ntest_mse=0.1\n"
+        "train_losses=1.0,0.5\nval_losses=0.7,0.6\n")
+    model = DLinearModel(96, 1)
+    header = dict(model.config_header(), dataset="additive", revin="no", seed=0, batch=32)
+    p = tmp_path / "model.ckpt"
+    save_checkpoint(p, header, model.parameters())
+    text = (b"kind=dlinear\nl_ctx=96\nh_pred=1\nkernel=25\n"
+            b"dataset=additive\nrevin=no\nseed=0\nbatch=32\n")
+    assert p.read_bytes()[:4 + len(text) + 4] == (struct.pack("<I", len(text)) + text
+                                                  + struct.pack("<I", 4))
 
 
 # ------------------------------------------------------------ memory per copy

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cgpt import cli
+from cgpt import checkpoint, cli
 from cgpt.baselines import DLinearModel, MlpBaseline
 from cgpt.checkpoint import load_checkpoint, save_checkpoint
 from cgpt.cli import main, report_rows
@@ -549,7 +549,7 @@ def test_eval_header_value_of_wrong_type_names_file_and_key(tmp_path, capsys):
     ckpt = tmp_path / "model.ckpt"
     save_checkpoint(ckpt, header, model.parameters())
     assert main(["eval", "--checkpoint", str(ckpt), "--dataset", "additive"]) == 2
-    assert f"{ckpt}: header key d_model: cannot read '16.0' as int" in capsys.readouterr().err
+    assert f"{ckpt}: header key d_model: cannot parse '16.0'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("revin, code", [("maybe", 2), ("", 2), (None, 0)])
@@ -593,7 +593,7 @@ def test_eval_rejects_checkpoint_with_a_repeated_header_key(tmp_path, capsys):
     assert main(["eval", "--checkpoint", str(ckpt), "--dataset", "additive"]) == 2
     captured = capsys.readouterr()
     assert "test_mae" not in captured.out
-    assert f"{ckpt}: header key 'kind' appears twice" in captured.err
+    assert f"{ckpt}: header line 5: key 'kind' already set on line 1" in captured.err
 
 
 def test_eval_of_overflowing_forecast_is_runtime_error(tmp_path, capsys):
@@ -704,9 +704,9 @@ def test_report_refuses_non_finite_record(tmp_path, capsys):
 @pytest.mark.parametrize("old, new, message", [
     ("test_mae=0.5\n", "", "key test_mae missing"),
     ("revin=no\n", "revin=no\ngarbage\n", "line 4: expected key=value, got 'garbage'"),
-    ("test_mse=0.3\n", "test_mse=0.3\ntest_mse=99\n", "line 11: key 'test_mse' appears twice"),
-    ("l_ctx=96\n", "l_ctx=abc\n", "key l_ctx: cannot read 'abc' as int"),
-    ("test_mae=0.5\n", "test_mae=abc\n", "key test_mae: cannot read 'abc' as float"),
+    ("test_mse=0.3\n", "test_mse=0.3\ntest_mse=99\n", "line 11: key 'test_mse' already set on line 10"),
+    ("l_ctx=96\n", "l_ctx=abc\n", "key l_ctx: cannot parse 'abc'"),
+    ("test_mae=0.5\n", "test_mae=abc\n", "key test_mae: cannot parse 'abc'"),
     ("revin=no\n", "revin=maybe\n", "key revin: expected yes or no, got 'maybe'"),
     ("model=leaky\n", "model=transformer\n", "key model: unknown model id 'transformer'"),
 ], ids=["missing_key", "no_equals_sign", "repeated_key", "int_key", "float_key",
@@ -739,3 +739,68 @@ def test_report_rows_is_pure():
     first = report_rows(records, 2)
     second = report_rows(records, 2)
     assert first == second
+
+
+# ----------------------------------------------------------- key=value files
+
+EDGE_VALUES = ["0", "-1", str(2 ** 63), str(2 ** 128), "1e400", "nan", "inf", "", " 7 ",
+               "٩٦", "1_000", "9" * 5000]
+
+
+def value_or_located_error(read, path, key):
+    """Run ``read``; a UsageError or ValueError must name ``path`` and
+    ``key``, and any other exception fails the test."""
+    try:
+        read()
+    except ValueError as err:  # cli.UsageError is one too
+        message = str(err)
+        assert str(path) in message, message
+        assert f"key {key}" in message or f"key {key!r}" in message or f"{key}=" in message, \
+            message
+
+
+def test_every_stored_text_reader_returns_a_value_or_a_located_error(tmp_path):
+    """Every key the converters know, with each edge value, read from a
+    config file, a checkpoint header and a result record."""
+    model = DLinearModel(96, 1)
+    cfg, ckpt, runs = tmp_path / "exp.cfg", tmp_path / "model.ckpt", tmp_path / "runs"
+    fake_record(runs)
+    record = next(runs.rglob("result_*.txt"))
+    base = checkpoint.parse(record.read_text())
+    for key in cli._CONVERTERS:
+        for value in EDGE_VALUES:
+            cfg.write_text(f"{key}={value}\n")
+            value_or_located_error(lambda: cli.read_config(cfg), cfg, key)
+            save_checkpoint(ckpt, dict(model.config_header(), **{key: value}),
+                            model.parameters())
+            value_or_located_error(
+                lambda: cli._read_stored(load_checkpoint(ckpt)[0], f"{ckpt}: header "),
+                ckpt, key)
+            record.write_text(checkpoint.format(dict(base, **{key: value})))
+            value_or_located_error(lambda: cli._collect_records(runs), record, key)
+
+
+def test_stored_text_is_read_stripped_and_misreads_are_worded_alike(tmp_path):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("lr = 0.1\n")
+    assert cli.read_config(cfg) == {"lr": 0.1}
+
+    model = DLinearModel(96, 1)
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(ckpt, dict(model.config_header(), revin=" yes", batch=" 32"),
+                    model.parameters())
+    _, stored = cli._checkpoint_model(ckpt)
+    assert (stored["revin"], stored["batch"]) == (True, 32)
+
+    runs = tmp_path / "runs"
+    fake_record(runs)
+    record = next(runs.rglob("result_*.txt"))
+    record.write_text(record.read_text().replace("l_ctx=96\n", "l_ctx= 96\n"))
+    assert cli._collect_records(runs)[0]["l_ctx"] == "96"
+
+    cgpt = CgptModel(CgptConfig(EncoderConfig(d_model=16, d_ff=8), 96, 1))
+    for model, key, text in ((cgpt, "d_model", "16.0"), (model, "batch", "32.0")):
+        save_checkpoint(ckpt, dict(model.config_header(), **{key: text}), model.parameters())
+        with pytest.raises(ValueError) as err:
+            cli._checkpoint_model(ckpt)
+        assert str(err.value) == f"{ckpt}: header key {key}: cannot parse '{text}'"

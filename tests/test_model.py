@@ -1,5 +1,7 @@
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from cgpt.layers import EncoderConfig
 from cgpt.model import (
@@ -171,6 +173,32 @@ def test_pure_is_blind_to_target_history():
     redo = WindowBatch(poisoned, batch.target_future, batch.target_channel,
                        batch.context_channels)
     assert np.array_equal(base, cgpt_forward(redo, model, revin=False).data)
+
+
+@settings(max_examples=40)
+@given(data=st.data())
+def test_pure_is_blind_to_target_history_under_random_graphs(data):
+    """For 2-6 channels, a random target and a random non-empty set of
+    causes of it: a new target history, or an appended channel nothing
+    reads, leaves the pure forecast bit-identical."""
+    n = data.draw(st.integers(2, 6), label="channels")
+    target = data.draw(st.integers(0, n - 1), label="target")
+    causes = data.draw(st.sets(st.sampled_from([c for c in range(n) if c != target]),
+                               min_size=1), label="causes")
+    graph = CausalGraph.from_edges((c, target) for c in causes)
+    contexts = select_contexts(graph, target, range(n))
+    model = toy_model(Variant.PURE_INFLUENCE, seed=data.draw(st.integers(0, 2 ** 32)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32), label="values"))
+    batch = toy_batch(n_channels=n, contexts=contexts, target=target, batch=3,
+                      seed=data.draw(st.integers(0, 2 ** 32)))
+    base = cgpt_forward(batch, model, revin=False).data
+
+    replaced = batch.context.copy()
+    replaced[:, :, target] = rng.standard_normal((3, 16)) * 10.0
+    widened = np.concatenate([batch.context, rng.standard_normal((3, 16, 1))], axis=2)
+    for context in (replaced, widened):
+        redo = WindowBatch(context, batch.target_future, target, batch.context_channels)
+        assert np.array_equal(base, cgpt_forward(redo, model, revin=False).data)
 
 
 def test_leaky_is_not_blind_to_target_history():

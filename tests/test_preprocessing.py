@@ -238,7 +238,7 @@ def test_window_starts_too_short():
         window_starts((0, 50), 96, 1)
 
 
-@settings(derandomize=True, max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(start=st.integers(0, 200), rows=st.integers(0, 200), l_ctx=st.integers(1, 120),
        h_pred=st.integers(1, 60), overlap=st.booleans())
 def test_window_starts_are_every_window_that_fits(start, rows, l_ctx, h_pred, overlap):

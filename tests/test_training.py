@@ -568,5 +568,5 @@ def test_result_record_roundtrip_and_determinism():
 def test_parse_record_rejects_garbage():
     with pytest.raises(ValueError, match="line 2"):
         parse_record("a=1\nnot a record\n")
-    with pytest.raises(ValueError, match="^line 3: key 'a' appears twice$"):
+    with pytest.raises(ValueError, match="^line 3: key 'a' already set on line 1$"):
         parse_record("a=1\nb=2\na=3\n")
