@@ -19,11 +19,15 @@ def moving_average_matrix(l_ctx, kernel):
     if kernel < 1 or kernel % 2 == 0:
         raise ValueError(f"kernel must be odd and positive, got {kernel}")
     half = kernel // 2
-    m = np.zeros((l_ctx, l_ctx))
-    for i in range(l_ctx):
-        for k in range(i - half, i + half + 1):
-            m[min(max(k, 0), l_ctx - 1), i] += 1.0 / kernel
-    return m
+    i = np.arange(l_ctx)
+    lo, hi = i - half, i + half  # output step i averages source steps lo..hi
+    # counts[j, i]: how many of those clamp to source step j
+    counts = (np.abs(i[:, None] - i) <= half).astype(np.intp)
+    counts[0] += np.maximum(0, np.minimum(hi, -1) - lo + 1)
+    counts[-1] += np.maximum(0, hi - np.maximum(lo, l_ctx) + 1)
+    # table[c]: 1/kernel added c times in sequence, as a loop of += would
+    table = np.concatenate([[0.0], np.cumsum(np.full(kernel, 1.0 / kernel))])
+    return table[counts]
 
 
 class _Baseline:

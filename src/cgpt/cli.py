@@ -79,12 +79,23 @@ class ExperimentSpec:
 
 # ---------------------------------------------------------------- config file
 
+def _integer(text):
+    """An optional '-' and ASCII digits as an int; ``int`` alone also takes
+    '٩٦', '1_000' and '+7'."""
+    digits = text[1:] if text.startswith("-") else text
+    if digits.isascii() and digits.isdigit():
+        try:
+            return int(text)
+        except ValueError:  # more digits than int converts
+            pass
+    raise UsageError(f"cannot parse {text!r}")
+
+
 def _parse_seeds(text):
     try:
-        seeds = tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise UsageError(f"cannot parse seed list {text!r}; "
-                         "expected comma-separated integers like 0,1,2") from None
+        seeds = tuple(_integer(part) for part in text.split(","))
+    except UsageError as err:
+        raise UsageError(f"seed list {text!r}: {err}") from None
     for seed, count in Counter(seeds).items():
         if seed < 0:
             raise UsageError(f"seed list {text!r}: negative seed {seed}")
@@ -102,14 +113,14 @@ def _checked(convert, accept, expected):
         if not accept(value):
             raise UsageError(f"expected {expected}, got {text!r}")
         return value
-    checked.__name__ = convert.__name__  # argparse says "invalid int value: 'x'"
+    checked.__name__ = convert.__name__  # argparse says "invalid float value: 'x'"
     return checked
 
 
 _parse_yes_no = _checked({"yes": True, "no": False}.get, lambda v: v is not None, "yes or no")
 _positive_float = _checked(float, lambda v: 0 < v < math.inf, "a finite number above 0")
-_positive_int = _checked(int, lambda v: v >= 1, "an integer of at least 1")
-_seed = _checked(int, lambda v: 0 <= v < 2 ** 128,  # numpy's Philox takes keys in this range
+_positive_int = _checked(_integer, lambda v: v >= 1, "an integer of at least 1")
+_seed = _checked(_integer, lambda v: 0 <= v < 2 ** 128,  # numpy's Philox takes keys in this range
                  "a seed from 0 to 2**128 - 1")
 
 

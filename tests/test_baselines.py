@@ -39,6 +39,24 @@ def test_moving_average_preserves_constants_and_interior_ramps():
     assert trend[0] > ramp[0]  # replicated left edge drags the mean up
 
 
+def looped_moving_average(l_ctx, kernel):
+    """The matrix built one clamped source index at a time."""
+    half = kernel // 2
+    m = np.zeros((l_ctx, l_ctx))
+    for i in range(l_ctx):
+        for k in range(i - half, i + half + 1):
+            m[min(max(k, 0), l_ctx - 1), i] += 1.0 / kernel
+    return m
+
+
+@pytest.mark.parametrize("l_ctx", [1, 2, 5, 16, 96, 336])
+def test_moving_average_has_the_bits_of_the_loop(l_ctx):
+    for kernel in (1, 3, 5, 25, 97, 193, 201, 1001):
+        m = moving_average_matrix(l_ctx, kernel)
+        assert m.shape == (l_ctx, l_ctx), kernel
+        assert m.tobytes() == looped_moving_average(l_ctx, kernel).tobytes(), kernel
+
+
 def test_moving_average_rejects_even_kernel():
     with pytest.raises(ValueError, match="odd"):
         moving_average_matrix(96, 24)

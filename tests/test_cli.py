@@ -217,7 +217,9 @@ def test_train_records_are_reproducible(tmp_path):
     (f"0,{2**63}", False, f"seed list '0,{2**63}': seed {2**63} is not below 2**63"),
     (f"{2**64}", True, f"tiny.cfg:6: config key seeds: seed list '{2**64}': "
                        f"seed {2**64} is not below 2**63"),
-], ids=["repeated", "negative", "config_file", "two_to_the_63", "two_to_the_64_config"])
+    ("0,+1", False, "seed list '0,+1': cannot parse '+1'"),
+], ids=["repeated", "negative", "config_file", "two_to_the_63", "two_to_the_64_config",
+        "plus_sign"])
 def test_bad_seed_list_is_usage_error(tmp_path, capsys, seeds, in_config, message):
     if in_config:
         argv = ["train", "--config", write_tiny_config(tmp_path, f"seeds={seeds}\n"),
@@ -272,7 +274,10 @@ def test_bad_training_hyperparameter_is_usage_error(tmp_path, capsys, key, value
      "argument --context: expected an integer of at least 1, got '-5'"),
     (["train", "--dataset", "additive", "--model", "dlinear", "--horizon", "0"],
      "argument --horizon: expected an integer of at least 1, got '0'"),
-], ids=["length", "negative_seed", "seed_two_to_the_128", "context", "horizon"])
+    (["gen-data", "--dataset", "additive", "--length", "1_000"],
+     "argument --length: cannot parse '1_000'"),
+], ids=["length", "negative_seed", "seed_two_to_the_128", "context", "horizon",
+        "underscore_length"])
 def test_bad_integer_flag_is_usage_error(tmp_path, capsys, argv, message):
     out = tmp_path / "out"
     assert main([*argv, "--out", str(out)]) == 1
@@ -353,15 +358,30 @@ def test_etth1_is_a_real_csv_with_fixed_borders(tmp_path, monkeypatch):
 
 
 def test_train_on_generated_csv_path_with_sidecar_graph(tmp_path):
-    csv_path = tmp_path / "mydata.csv"
-    main(["gen-data", "--dataset", "additive", "--out", str(csv_path)])
+    """A generated CSV with its sidecar trains exactly as the generator does;
+    the stem names the dataset in the record and header, so it is the
+    generator's name.  Without one of the sidecar's edges the record differs."""
+    csv_path = tmp_path / "additive.csv"
+    assert main(["gen-data", "--dataset", "additive", "--length", "1024",
+                 "--out", str(csv_path)]) == 0
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(TINY.replace("length=1024\n", "") + "target=C3\n")
-    assert main(["train", "--config", str(cfg), "--dataset", str(csv_path),
-                 "--model", "leaky", "--horizon", "1", "--seeds", "0",
-                 "--out", str(tmp_path / "runs")]) == 0
-    assert (tmp_path / "runs" / "mydata" / "leaky" / "revin_no"
-            / "seed_0" / "result_96to1.txt").exists()
+
+    def run(dataset, config, out):
+        assert main(["train", "--config", str(config), "--dataset", dataset,
+                     "--model", "leaky", "--horizon", "1", "--seeds", "0",
+                     "--out", str(tmp_path / out)]) == 0
+        seed_dir = tmp_path / out / "additive" / "leaky" / "revin_no" / "seed_0"
+        return [(seed_dir / name).read_bytes() for name in ("result_96to1.txt",
+                                                             "model_96to1.ckpt")]
+
+    from_csv = run(str(csv_path), cfg, "csv")
+    assert from_csv == run("additive", write_tiny_config(tmp_path), "generated")
+    sidecar = tmp_path / "additive.graph.txt"
+    edges = sidecar.read_text().splitlines()
+    sidecar.write_text("".join(f"{edge}\n" for edge in edges if edge != "C0->C3"))
+    assert len(edges) == len(sidecar.read_text().splitlines()) + 1
+    assert run(str(csv_path), cfg, "cut")[0] != from_csv[0]
 
 
 def test_self_loop_in_graph_sidecar_names_file_and_line(tmp_path, capsys):
@@ -744,19 +764,27 @@ def test_report_rows_is_pure():
 # ----------------------------------------------------------- key=value files
 
 EDGE_VALUES = ["0", "-1", str(2 ** 63), str(2 ** 128), "1e400", "nan", "inf", "", " 7 ",
-               "٩٦", "1_000", "9" * 5000]
+               "9" * 5000]
+# Spellings Python's int takes but an integer key must reject: an integer
+# is an optional '-' and ASCII digits.
+BAD_INTEGERS = ["٩٦", "1_000", "+7", "９６", "१"]
+INTEGER_KEYS = [key for key, convert in cli._CONVERTERS.items()
+                if convert in (cli._positive_int, cli._seed, cli._parse_seeds)]
 
 
-def value_or_located_error(read, path, key):
+def value_or_located_error(read, path, key, must_fail=False):
     """Run ``read``; a UsageError or ValueError must name ``path`` and
-    ``key``, and any other exception fails the test."""
+    ``key``, and any other exception fails the test, as does a value
+    when ``must_fail``."""
     try:
-        read()
+        value = read()
     except ValueError as err:  # cli.UsageError is one too
         message = str(err)
         assert str(path) in message, message
         assert f"key {key}" in message or f"key {key!r}" in message or f"{key}=" in message, \
             message
+    else:
+        assert not must_fail, f"{path}: {key} read as {value!r}"
 
 
 def test_every_stored_text_reader_returns_a_value_or_a_located_error(tmp_path):
@@ -768,16 +796,17 @@ def test_every_stored_text_reader_returns_a_value_or_a_located_error(tmp_path):
     record = next(runs.rglob("result_*.txt"))
     base = checkpoint.parse(record.read_text())
     for key in cli._CONVERTERS:
-        for value in EDGE_VALUES:
+        for value in EDGE_VALUES + BAD_INTEGERS:
+            bad = key in INTEGER_KEYS and value in BAD_INTEGERS
             cfg.write_text(f"{key}={value}\n")
-            value_or_located_error(lambda: cli.read_config(cfg), cfg, key)
+            value_or_located_error(lambda: cli.read_config(cfg), cfg, key, bad)
             save_checkpoint(ckpt, dict(model.config_header(), **{key: value}),
                             model.parameters())
             value_or_located_error(
                 lambda: cli._read_stored(load_checkpoint(ckpt)[0], f"{ckpt}: header "),
-                ckpt, key)
+                ckpt, key, bad)
             record.write_text(checkpoint.format(dict(base, **{key: value})))
-            value_or_located_error(lambda: cli._collect_records(runs), record, key)
+            value_or_located_error(lambda: cli._collect_records(runs), record, key, bad)
 
 
 def test_stored_text_is_read_stripped_and_misreads_are_worded_alike(tmp_path):
