@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .layers import glorot_uniform, init_rng, load_param_arrays
+from .layers import check_model_size, glorot_uniform, init_rng, load_param_arrays
 from .preprocessing import revin_forecast
 from .tensor import Tensor, matmul, relu, reshape
 
@@ -67,6 +67,8 @@ class DLinearModel(_Baseline):
         self.l_ctx = l_ctx
         self.h_pred = h_pred
         self.kernel = kernel
+        # the averaging matrix, its table of kernel + 1 weights, two affine maps
+        check_model_size(self, l_ctx * l_ctx + kernel + 1 + 2 * (l_ctx + 1) * h_pred)
         self._avg = Tensor(moving_average_matrix(l_ctx, kernel))
         rng = init_rng(seed)
         self.params = {
@@ -105,8 +107,9 @@ class MlpBaseline(_Baseline):
         self.h_pred = h_pred
         self.n_vars = n_vars
         self.hidden = hidden
-        rng = init_rng(seed)
         width = l_ctx * n_vars
+        check_model_size(self, (width + hidden + 2) * hidden + (hidden + 1) * h_pred)
+        rng = init_rng(seed)
         self.params = {
             "fc1.w": Tensor(glorot_uniform(rng, (width, hidden)), requires_grad=True),
             "fc1.b": Tensor(np.zeros(hidden), requires_grad=True),

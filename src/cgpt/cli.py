@@ -80,14 +80,12 @@ class ExperimentSpec:
 # ---------------------------------------------------------------- config file
 
 def _integer(text):
-    """An optional '-' and ASCII digits as an int; ``int`` alone also takes
-    '٩٦', '1_000' and '+7'."""
-    digits = text[1:] if text.startswith("-") else text
-    if digits.isascii() and digits.isdigit():
-        try:
+    """The int ``str`` writes as ``text`` (``int`` also takes '٩٦', '+7', '096')."""
+    try:
+        if str(int(text)) == text:
             return int(text)
-        except ValueError:  # more digits than int converts
-            pass
+    except ValueError:  # not an integer, or more digits than int converts
+        pass
     raise UsageError(f"cannot parse {text!r}")
 
 
@@ -130,6 +128,9 @@ def _model_id(text):
     return text
 
 
+# Config keys that size a model; each model kind reads only some of them.
+_MODEL_KEYS = ("d_model", "d_ff", "n_heads", "e_layers", "patch_len", "stride", "n_p_max",
+               "kernel", "hidden")
 # Keys a config file may set, each with the converter for its value.  The
 # first group mirrors the train flags, which override it; the rest set data
 # loading, model and training options that have no flag.
@@ -137,9 +138,7 @@ _CONVERTERS = {
     "dataset": str, "model": _model_id, "context": _positive_int, "horizon": _positive_int,
     "revin": _parse_yes_no, "seeds": _parse_seeds, "out": str,
     "data_seed": _seed, "length": _positive_int, "target": str,
-    "d_model": _positive_int, "d_ff": _positive_int, "n_heads": _positive_int,
-    "e_layers": _positive_int, "patch_len": _positive_int, "stride": _positive_int,
-    "n_p_max": _positive_int, "kernel": _positive_int, "hidden": _positive_int,
+    **dict.fromkeys(_MODEL_KEYS, _positive_int),
     "lr": _positive_float, "batch": _positive_int, "max_epochs": _positive_int,
     "patience": _positive_int,
 }
@@ -289,9 +288,14 @@ def resolve_dataset(dataset_id, options=None):
 # -------------------------------------------------------------------- models
 
 def build_model(spec, n_vars, seed):
+    """The model ``spec`` names; a model key it does not read is a UsageError."""
     header = dict(spec.options, variant=spec.model, l_ctx=spec.context,
                   h_pred=spec.horizon, n_vars=n_vars)
-    return MODELS[spec.model].from_header(header, seed=seed)
+    model = MODELS[spec.model].from_header(header, seed=seed)
+    unread = [k for k in _MODEL_KEYS if k in spec.options and k not in model.config_header()]
+    if unread:
+        raise UsageError(f"{spec.model} does not read key {', '.join(unread)}")
+    return model
 
 
 def model_from_checkpoint(header, arrays):
@@ -312,7 +316,11 @@ def model_from_checkpoint(header, arrays):
     if problems:
         raise ValueError(f"checkpoint header does not describe a {cls.kind} model: "
                          + "; ".join(problems))
-    model.load_arrays(arrays)
+    try:
+        model.load_arrays(arrays)
+    except ValueError as err:
+        sizes = ", ".join(f"{k}={v}" for k, v in model.config_header().items())
+        raise ValueError(f"the arrays do not fit {sizes}: {err}") from None
     return model
 
 

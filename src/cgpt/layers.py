@@ -26,6 +26,19 @@ from .tensor import (
 )
 
 
+# The most floats a model may hold in parameters and fixed arrays (1 GiB)
+MAX_MODEL_FLOATS = 2 ** 27
+
+
+def check_model_size(model, count):
+    """Reject ``model`` (its header set, no array made yet) when its sizes
+    give ``count`` floats, more than ``MAX_MODEL_FLOATS``."""
+    if count > MAX_MODEL_FLOATS:
+        sizes = ", ".join(f"{k}={v}" for k, v in model.config_header().items())
+        raise ValueError(f"{sizes}: the model would hold {count} floats, "
+                         f"more than the cap of {MAX_MODEL_FLOATS}")
+
+
 @dataclass(frozen=True)
 class EncoderConfig:
     d_model: int = 64
@@ -39,7 +52,7 @@ class EncoderConfig:
         if min(self.d_model, self.d_ff, self.n_heads, self.e_layers, self.n_p_max) < 1:
             raise ValueError(f"encoder dimensions must be positive: {self}")
         if self.d_model % self.n_heads != 0:
-            raise ValueError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
+            raise ValueError(f"d_model={self.d_model} is not divisible by n_heads={self.n_heads}")
 
 
 class _NoDraws:

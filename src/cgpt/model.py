@@ -22,6 +22,7 @@ import numpy as np
 
 from .layers import (
     EncoderConfig,
+    check_model_size,
     embed_patches,
     encoder_forward,
     glorot_uniform,
@@ -92,14 +93,15 @@ class CgptConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "variant", Variant.from_id(self.variant))
-        if self.l_ctx < self.encoder.patch.patch_len:
-            raise ValueError(
-                f"context {self.l_ctx} shorter than patch_len {self.encoder.patch.patch_len}")
+        patch = self.encoder.patch
+        if self.l_ctx < patch.patch_len:
+            raise ValueError(f"l_ctx={self.l_ctx} is shorter than patch_len={patch.patch_len}")
         if self.h_pred < 1:
             raise ValueError(f"h_pred must be >= 1, got {self.h_pred}")
-        n_p = self.encoder.patch.num_patches(self.l_ctx)
+        n_p = patch.num_patches(self.l_ctx)
         if n_p > self.encoder.n_p_max:
-            raise ValueError(f"{n_p} patches exceed position table size {self.encoder.n_p_max}")
+            raise ValueError(f"l_ctx={self.l_ctx}, {patch}: {n_p} patches exceed the position "
+                             f"table's n_p_max={self.encoder.n_p_max}")
 
 
 class CgptModel:
@@ -116,8 +118,12 @@ class CgptModel:
     def __init__(self, cfg, seed=0):
         self.cfg = cfg
         enc_cfg = cfg.encoder
-        rng = init_rng(seed)
         d, ff = enc_cfg.d_model, enc_cfg.d_ff
+        # patch embedding and positions, encoder layers, influence MLP, placeholder, head
+        check_model_size(self, d * (enc_cfg.patch.patch_len + 1 + enc_cfg.n_p_max)
+                         + enc_cfg.e_layers * (4 * d * d + 2 * d * ff + ff + 9 * d)
+                         + 3 * d * ff + ff + 2 * d + (d + 1) * cfg.h_pred)
+        rng = init_rng(seed)
         self.encoder_params = init_encoder_params(enc_cfg, rng)
         self.influence_params = {
             "w1": Tensor(glorot_uniform(rng, (2 * d, ff)), requires_grad=True),

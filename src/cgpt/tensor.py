@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from contextlib import contextmanager
 
 import numpy as np
@@ -460,6 +461,10 @@ def backward(root):
     within one call and across repeated calls; use ``zero_grads`` between
     steps.  The graph itself is left intact, so a second call on the same
     root adds the same gradients again.
+
+    A leaf without a ``grad`` takes an incoming writable C-order float64
+    array of its shape that only the walk refers to, and adds 0.0 to it:
+    ``zeros_like + g``'s bits.  Views and shared arrays go into zeros.
     """
     if root.data.size != 1:
         raise ValueError(f"backward: root must be scalar, got shape {root.shape}")
@@ -484,13 +489,19 @@ def backward(root):
     # Every consumer of a node was created after it, so by the time a
     # node comes up in this order its flow is complete.
     flow = {id(start): np.ones_like(root.data)}
+    lone = np.empty(0)  # what getrefcount says of an array one local holds
+    lone_refs = sys.getrefcount(lone)
     for n in nodes:
         g = flow.pop(id(n), None)
         if g is None:
             continue
         if isinstance(n, Tensor):  # a leaf
             if n.grad is None:
-                n.grad = np.zeros_like(n.data)
+                if (sys.getrefcount(g) == lone_refs and type(g) is np.ndarray and g.flags.owndata
+                        and g.flags.carray and g.dtype == np.float64 and g.shape == n.data.shape):
+                    n.grad, g = g, 0.0  # so the += below gives zeros_like + g's bits
+                else:
+                    n.grad = np.zeros_like(n.data)
             n.grad += g
             continue
         for p, pg in zip(n.parents, n.bwd(g)):
@@ -498,6 +509,7 @@ def backward(root):
                 continue
             held = flow.get(id(p))
             flow[id(p)] = pg if held is None else held + pg
+        held = pg = None  # so that ``flow`` alone refers to each gradient
 
 
 def zero_grads(tensors):

@@ -17,6 +17,7 @@ from .tensor import Tensor, backward, mean_axis, no_grad, square, zero_grads
 ADAM_BETAS = (0.9, 0.999)
 ADAM_EPS = 1e-8
 WEIGHT_DECAY = 0.01
+ADAM_CHUNK = 16384  # elements of AdamW.step's scratch array (128 KiB); not from the paper
 
 
 class DivergenceError(RuntimeError):
@@ -69,7 +70,8 @@ class AdamW:
     """Adam with decoupled weight decay applied before the moment update.
 
     ``step`` consumes the gradients: each parameter's update is computed
-    in its ``grad`` array, and ``grad`` is ``None`` afterwards.
+    in its ``grad`` array, and ``grad`` is ``None`` afterwards.  Its only
+    scratch array holds ``ADAM_CHUNK`` elements, or one row if that is more.
     """
 
     def __init__(self, params):
@@ -93,25 +95,31 @@ class AdamW:
             elif not np.isfinite(g).all():
                 raise DivergenceError(f"non-finite gradient in parameter {name!r}")
             p.data *= 1.0 - lr_t * WEIGHT_DECAY
-            # In place, with the rounding of m = b1*m + (1-b1)*g, v likewise,
-            # and p -= lr_t * (m/bias1) / (sqrt(v/bias2) + eps).  One scratch
-            # array holds (1-b1)*g, then (1-b2)*g*g, then the denominator;
-            # the update goes into g's own array once g is last read.
-            m, v = self._m[name], self._v[name]
-            s = np.multiply(1.0 - b1, g)
-            m *= b1
-            m += s
-            np.multiply(1.0 - b2, g, out=s)
-            s *= g
-            v *= b2
-            v += s
-            np.divide(v, bias2, out=s)
-            np.sqrt(s, out=s)
-            s += ADAM_EPS
-            update = np.divide(m, bias1, out=g)
-            update *= lr_t
-            update /= s
-            p.data -= update
+            # In place, rows at a time, with the rounding of m = b1*m + (1-b1)*g,
+            # v likewise, and p -= lr_t * (m/bias1) / (sqrt(v/bias2) + eps).  The
+            # scratch holds (1-b1)*g, then (1-b2)*g*g, then the denominator; the
+            # update goes into g's own array once g is last read.
+            x, m, v, g = np.atleast_1d(p.data, self._m[name], self._v[name], g)
+            rows = max(1, ADAM_CHUNK // max(1, math.prod(x.shape[1:])))
+            scratch = np.empty((min(rows, len(x)), *x.shape[1:]))
+            for lo in range(0, len(x), rows):
+                xs, ms, vs, gs = x[lo:lo + rows], m[lo:lo + rows], v[lo:lo + rows], g[lo:lo + rows]
+                s = scratch[:len(gs)]
+                np.multiply(1.0 - b1, gs, out=s)
+                ms *= b1
+                ms += s
+                np.multiply(1.0 - b2, gs, out=s)
+                s *= gs
+                vs *= b2
+                vs += s
+                np.divide(vs, bias2, out=s)
+                np.sqrt(s, out=s)
+                s += ADAM_EPS
+                update = np.divide(ms, bias1, out=gs)
+                update *= lr_t
+                update /= s
+                xs -= update
+            xs = ms = vs = gs = s = update = None  # so g is freed with p.grad, not later
             p.grad = None
 
 

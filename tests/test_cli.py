@@ -24,18 +24,25 @@ from cgpt.model import CgptConfig, CgptModel
 from cgpt.training import RunResult, evaluate, result_record
 
 # Small enough to train in well under a second, large enough that every
-# split still holds 96->1 windows under the 70/20/10 ratio policy.
-TINY = "length=1024\nmax_epochs=1\nd_model=16\nd_ff=32\nbatch=256\n"
+# split still holds 96->1 windows under the 70/20/10 ratio policy.  TINY
+# holds the data and training keys; a model kind adds only keys it reads,
+# since ``train`` rejects the others.
+TINY = "length=1024\nmax_epochs=1\nbatch=256\n"
+TINY_MODEL_KEYS = {"cgpt": "d_model=16\nd_ff=32\n", "dlinear": "", "mlp": ""}
 
 
-def write_tiny_config(tmp_path, extra=""):
+def tiny_config(model="leaky"):
+    return TINY + TINY_MODEL_KEYS[cli.MODELS[model].kind]
+
+
+def write_tiny_config(tmp_path, extra="", model="leaky"):
     cfg = tmp_path / "tiny.cfg"
-    cfg.write_text(TINY + extra)
+    cfg.write_text(tiny_config(model) + extra)
     return str(cfg)
 
 
 def train_argv(tmp_path, *, model="leaky", seeds="0", out="runs", extra=()):
-    return ["train", "--config", write_tiny_config(tmp_path),
+    return ["train", "--config", write_tiny_config(tmp_path, model=model),
             "--dataset", "additive", "--model", model,
             "--context", "96", "--horizon", "1", "--revin", "no",
             "--seeds", seeds, "--out", str(tmp_path / out), *extra]
@@ -211,18 +218,19 @@ def test_train_records_are_reproducible(tmp_path):
 @pytest.mark.parametrize("seeds, in_config, message", [
     ("0,0", False, "seed list '0,0': seed 0 is repeated"),
     ("2,-1", False, "seed list '2,-1': negative seed -1"),
-    ("1,2,1", True, "tiny.cfg:6: config key seeds: seed list '1,2,1': seed 1 is repeated"),
+    ("1,2,1", True, "tiny.cfg:4: config key seeds: seed list '1,2,1': seed 1 is repeated"),
     # numpy keys Philox with int64 [seed, epoch]: 2**63 would turn it into
     # float64 and share 2**63 + 1's permutation; 2**64 would not convert
     (f"0,{2**63}", False, f"seed list '0,{2**63}': seed {2**63} is not below 2**63"),
-    (f"{2**64}", True, f"tiny.cfg:6: config key seeds: seed list '{2**64}': "
+    (f"{2**64}", True, f"tiny.cfg:4: config key seeds: seed list '{2**64}': "
                        f"seed {2**64} is not below 2**63"),
     ("0,+1", False, "seed list '0,+1': cannot parse '+1'"),
 ], ids=["repeated", "negative", "config_file", "two_to_the_63", "two_to_the_64_config",
         "plus_sign"])
 def test_bad_seed_list_is_usage_error(tmp_path, capsys, seeds, in_config, message):
     if in_config:
-        argv = ["train", "--config", write_tiny_config(tmp_path, f"seeds={seeds}\n"),
+        argv = ["train", "--config",
+                write_tiny_config(tmp_path, f"seeds={seeds}\n", model="dlinear"),
                 "--dataset", "additive", "--model", "dlinear", "--out", str(tmp_path / "runs")]
     else:
         argv = train_argv(tmp_path, seeds=seeds)
@@ -255,8 +263,8 @@ def test_unknown_model_in_config_is_usage_error(tmp_path, capsys):
     ("data_seed", "-3"), ("data_seed", str(2 ** 128)),
 ])
 def test_bad_training_hyperparameter_is_usage_error(tmp_path, capsys, key, value):
-    cfg = write_tiny_config(tmp_path, f"{key}={value}\n")
-    line = TINY.count("\n") + 1
+    cfg = write_tiny_config(tmp_path, f"{key}={value}\n", model="dlinear")
+    line = tiny_config("dlinear").count("\n") + 1
     assert main(["train", "--config", cfg, "--dataset", "additive", "--model", "dlinear",
                  "--seeds", "0", "--out", str(tmp_path / "runs")]) == 1
     assert f"{cfg}:{line}: config key {key}: " in capsys.readouterr().err
@@ -287,8 +295,8 @@ def test_bad_integer_flag_is_usage_error(tmp_path, capsys, argv, message):
 
 @pytest.mark.parametrize("model, extra, message", [
     ("dlinear", "kernel=24\n", "kernel must be odd and positive, got 24"),
-    ("leaky", "n_heads=3\n", "d_model 16 not divisible by n_heads 3"),
-    ("leaky", "patch_len=200\n", "shorter than patch_len 200"),
+    ("leaky", "n_heads=3\n", "d_model=16 is not divisible by n_heads=3"),
+    ("leaky", "patch_len=200\n", "l_ctx=96 is shorter than patch_len=200"),
     ("leaky", None, "shorter than patch_len"),
 ], ids=["kernel", "heads", "patch_len", "context_flag"])
 def test_config_only_a_model_rejects_is_usage_error(tmp_path, capsys, model, extra, message):
@@ -298,7 +306,7 @@ def test_config_only_a_model_rejects_is_usage_error(tmp_path, capsys, model, ext
     if extra is None:
         argv += ["--context", "8"]
     else:
-        cfg = write_tiny_config(tmp_path, extra)
+        cfg = write_tiny_config(tmp_path, extra, model=model)
         argv += ["--config", cfg]
     assert main(argv) == 1
     err = capsys.readouterr().err
@@ -306,6 +314,62 @@ def test_config_only_a_model_rejects_is_usage_error(tmp_path, capsys, model, ext
     if extra is not None:
         assert f"{cfg}: " in err
     assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("model, extra, unread", [
+    ("leaky", "hidden=4\nkernel=5\n", "kernel, hidden"),
+    ("dlinear", "d_model=16\n", "d_model"),
+    ("mlp", "n_heads=2\nkernel=25\n", "n_heads, kernel"),
+])
+def test_model_key_the_model_does_not_read_is_usage_error(tmp_path, capsys, model, extra,
+                                                          unread):
+    cfg = write_tiny_config(tmp_path, extra, model=model)
+    assert main(["train", "--config", cfg, "--dataset", "additive", "--model", model,
+                 "--horizon", "1", "--seeds", "0", "--out", str(tmp_path / "runs")]) == 1
+    assert (f"{cfg}: invalid {model} configuration: {model} does not read key {unread}"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "runs").exists()
+
+
+BIG = 2 ** 63 + 1  # odd, so that it is a kernel dlinear would take
+
+
+@pytest.mark.parametrize("model, key", [
+    ("leaky", "d_model"), ("strict", "e_layers"), ("pure", "d_ff"),
+    ("dlinear", "kernel"), ("mlp", "hidden"),
+])
+def test_model_above_the_size_cap_is_a_usage_error_naming_the_key(tmp_path, capsys, model,
+                                                                   key):
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text(TINY + f"{key}={BIG}\n")
+    assert main(["train", "--config", str(cfg), "--dataset", "additive", "--model", model,
+                 "--horizon", "1", "--seeds", "0", "--out", str(tmp_path / "runs")]) == 1
+    err = capsys.readouterr().err
+    assert f"{cfg}: invalid {model} configuration: " in err
+    assert f"{key}={BIG}" in err and "more than the cap of 134217728" in err
+    assert not (tmp_path / "runs").exists()
+
+
+def tiny_models():
+    """One small model of each kind, for hand-built checkpoints."""
+    return [DLinearModel(96, 1), MlpBaseline(96, 1, n_vars=4, hidden=8),
+            CgptModel(CgptConfig(EncoderConfig(d_model=8, d_ff=8), 96, 1))]
+
+
+@pytest.mark.parametrize("kind, key", [
+    ("dlinear", "l_ctx"), ("dlinear", "kernel"), ("mlp", "n_vars"), ("mlp", "h_pred"),
+    ("cgpt", "d_model"), ("cgpt", "d_ff"),
+])
+def test_header_above_the_size_cap_is_a_runtime_error_naming_the_key(tmp_path, capsys, kind,
+                                                                      key):
+    model = next(m for m in tiny_models() if m.kind == kind)
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(ckpt, dict(model.config_header(), **{key: BIG}), model.parameters())
+    assert main(["eval", "--checkpoint", str(ckpt), "--dataset", "additive"]) == 2
+    captured = capsys.readouterr()
+    assert "test_mae" not in captured.out
+    assert f"{ckpt}: " in captured.err and f"{key}={BIG}" in captured.err
+    assert "more than the cap of 134217728" in captured.err
 
 
 def test_missing_dataset_is_usage_error(tmp_path, capsys):
@@ -365,7 +429,7 @@ def test_train_on_generated_csv_path_with_sidecar_graph(tmp_path):
     assert main(["gen-data", "--dataset", "additive", "--length", "1024",
                  "--out", str(csv_path)]) == 0
     cfg = tmp_path / "exp.cfg"
-    cfg.write_text(TINY.replace("length=1024\n", "") + "target=C3\n")
+    cfg.write_text(tiny_config().replace("length=1024\n", "") + "target=C3\n")
 
     def run(dataset, config, out):
         assert main(["train", "--config", str(config), "--dataset", dataset,
@@ -390,7 +454,7 @@ def test_self_loop_in_graph_sidecar_names_file_and_line(tmp_path, capsys):
     sidecar = tmp_path / "mydata.graph.txt"
     sidecar.write_text("C0->C3\nC3->C3\n")
     cfg = tmp_path / "exp.cfg"
-    cfg.write_text(TINY.replace("length=1024\n", "") + "target=C3\n")
+    cfg.write_text(tiny_config().replace("length=1024\n", "") + "target=C3\n")
     capsys.readouterr()
     assert main(["train", "--config", str(cfg), "--dataset", str(csv_path),
                  "--model", "leaky", "--out", str(tmp_path / "runs")]) == 2
@@ -413,7 +477,7 @@ def test_target_other_than_the_generators_is_usage_error(tmp_path, capsys, comma
     save_checkpoint(ckpt, model.config_header(), model.parameters())
     argv = {"train": ["train", "--model", "dlinear", "--out", str(tmp_path / "runs")],
             "eval": ["eval", "--checkpoint", str(ckpt)]}[command]
-    cfg = write_tiny_config(tmp_path, "target=C0\n")
+    cfg = write_tiny_config(tmp_path, "target=C0\n", model="dlinear")
     assert main([*argv, "--config", cfg, "--dataset", dataset]) == 1
     captured = capsys.readouterr()
     assert "test_mae" not in captured.out
@@ -425,7 +489,7 @@ def test_target_other_than_the_generators_is_usage_error(tmp_path, capsys, comma
 def test_target_naming_the_generators_target_is_accepted(tmp_path):
     argv = train_argv(tmp_path, model="dlinear")
     assert main(argv) == 0
-    argv[2] = write_tiny_config(tmp_path, "target=C3\n")
+    argv[2] = write_tiny_config(tmp_path, "target=C3\n", model="dlinear")
     assert main([*argv, "--out", str(tmp_path / "with_target")]) == 0
     task = Path("additive", "dlinear", "revin_no", "seed_0", "result_96to1.txt")
     assert ((tmp_path / "with_target" / task).read_text()
@@ -444,7 +508,7 @@ def test_eval_matches_training_record(tmp_path, capsys, model):
     capsys.readouterr()
     assert main(["eval", "--checkpoint", str(seed_dir / "model_96to1.ckpt"),
                  "--dataset", "additive",
-                 "--config", write_tiny_config(tmp_path)]) == 0
+                 "--config", write_tiny_config(tmp_path, model=model)]) == 0
     out = dict(line.split("=", 1) for line in
                capsys.readouterr().out.strip().splitlines())
     assert float(out["test_mae"]) == float(record["test_mae"])
@@ -766,8 +830,9 @@ def test_report_rows_is_pure():
 EDGE_VALUES = ["0", "-1", str(2 ** 63), str(2 ** 128), "1e400", "nan", "inf", "", " 7 ",
                "9" * 5000]
 # Spellings Python's int takes but an integer key must reject: an integer
-# is an optional '-' and ASCII digits.
-BAD_INTEGERS = ["٩٦", "1_000", "+7", "９６", "१"]
+# is written as str writes it, an optional '-' and ASCII digits with no
+# leading zero.
+BAD_INTEGERS = ["٩٦", "1_000", "+7", "９６", "१", "096", "00", "-0"]
 INTEGER_KEYS = [key for key, convert in cli._CONVERTERS.items()
                 if convert in (cli._positive_int, cli._seed, cli._parse_seeds)]
 
@@ -789,9 +854,10 @@ def value_or_located_error(read, path, key, must_fail=False):
 
 def test_every_stored_text_reader_returns_a_value_or_a_located_error(tmp_path):
     """Every key the converters know, with each edge value, read from a
-    config file, a checkpoint header and a result record."""
-    model = DLinearModel(96, 1)
+    config file, a checkpoint header and a result record; and each header,
+    of each model kind, rebuilt into a model."""
     cfg, ckpt, runs = tmp_path / "exp.cfg", tmp_path / "model.ckpt", tmp_path / "runs"
+    models = tiny_models()
     fake_record(runs)
     record = next(runs.rglob("result_*.txt"))
     base = checkpoint.parse(record.read_text())
@@ -800,11 +866,13 @@ def test_every_stored_text_reader_returns_a_value_or_a_located_error(tmp_path):
             bad = key in INTEGER_KEYS and value in BAD_INTEGERS
             cfg.write_text(f"{key}={value}\n")
             value_or_located_error(lambda: cli.read_config(cfg), cfg, key, bad)
-            save_checkpoint(ckpt, dict(model.config_header(), **{key: value}),
-                            model.parameters())
-            value_or_located_error(
-                lambda: cli._read_stored(load_checkpoint(ckpt)[0], f"{ckpt}: header "),
-                ckpt, key, bad)
+            for model in models:
+                save_checkpoint(ckpt, dict(model.config_header(), **{key: value}),
+                                model.parameters())
+                value_or_located_error(
+                    lambda: cli._read_stored(load_checkpoint(ckpt)[0], f"{ckpt}: header "),
+                    ckpt, key, bad)
+                value_or_located_error(lambda: cli._checkpoint_model(ckpt), ckpt, key, bad)
             record.write_text(checkpoint.format(dict(base, **{key: value})))
             value_or_located_error(lambda: cli._collect_records(runs), record, key, bad)
 

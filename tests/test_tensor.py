@@ -467,6 +467,55 @@ def test_backward_twice_accumulates():
     assert np.array_equal(x.grad, 4.0 * x.data)
 
 
+# gradients whose bits adding them into zeros changes or keeps: signed
+# zeros, subnormals of both signs, the extremes and nan
+EDGE_GRADS = np.array([-0.0, 0.0, 5e-324, -5e-324, -1e-310, 2.2250738585072014e-308, 1.5,
+                       1.7976931348623157e308, -np.inf, np.inf, np.nan])
+
+
+def zeros_plus(g):
+    """A leaf's first gradient as ``zeros_like`` then ``+=`` makes it."""
+    out = np.zeros_like(g)
+    out += g
+    return out
+
+
+def test_a_leaf_takes_its_gradient_with_the_bits_of_zeros_plus_g():
+    x = Tensor(np.ones(EDGE_GRADS.size), requires_grad=True)
+    with np.errstate(invalid="ignore"):  # the loss sums inf and -inf
+        backward(sum_axis(T.mul(x, Tensor(EDGE_GRADS))))
+    assert x.grad.tobytes() == zeros_plus(EDGE_GRADS).tobytes()
+    assert x.grad[0] == 0.0 and math.copysign(1.0, x.grad[0]) == 1.0  # -0.0 became +0.0
+
+
+@pytest.mark.parametrize("op", [T.add, T.sub])
+def test_equal_shape_leaves_of_add_and_sub_get_distinct_grads(op):
+    """add hands both parents one array, and sub hands the first its input
+    gradient: each leaf still ends with its own array and zeros + g's bits."""
+    x = Tensor(np.ones(EDGE_GRADS.size), requires_grad=True)
+    y = Tensor(np.ones(EDGE_GRADS.size), requires_grad=True)
+    with np.errstate(invalid="ignore", over="ignore"):  # x + y overflows at 1.8e308
+        backward(sum_axis(T.mul(op(x, y), Tensor(EDGE_GRADS))))
+    assert not np.shares_memory(x.grad, y.grad)
+    assert x.grad.tobytes() == zeros_plus(EDGE_GRADS).tobytes()
+    y_grad = EDGE_GRADS if op is T.add else -EDGE_GRADS
+    assert y.grad.tobytes() == zeros_plus(y_grad).tobytes()
+
+
+@pytest.mark.parametrize("op, grad", [
+    (lambda x: x, 1.0),  # sum_axis's backward is a read-only broadcast
+    (lambda x: reshape(x, (4, 3)), 1.0),
+    (lambda x: narrow(x, 0, 0, 3), 1.0),
+    (lambda x: T.add(x, x), 2.0),
+], ids=["broadcast", "reshape", "narrow_whole_axis", "add_of_itself"])
+def test_a_leaf_gets_a_writable_grad_of_its_own(op, grad):
+    """AdamW computes its update in ``grad``, so a view never becomes one."""
+    x = Tensor(np.arange(12.0).reshape(3, 4), requires_grad=True)
+    backward(sum_axis(op(x)))
+    assert x.grad.flags.owndata and x.grad.flags.writeable
+    assert np.array_equal(x.grad, np.full((3, 4), grad))
+
+
 def test_zero_grads_and_untouched_tensors():
     x = Tensor([1.0], requires_grad=True)
     other = Tensor([1.0], requires_grad=True)

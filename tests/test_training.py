@@ -1,3 +1,4 @@
+import functools
 import gc
 import math
 import tracemalloc
@@ -22,6 +23,7 @@ from cgpt.preprocessing import PatchConfig, WindowBatch, window_starts
 from cgpt.tensor import Tensor, backward
 from cgpt.training import (
     ADAM_BETAS,
+    ADAM_CHUNK,
     ADAM_EPS,
     WEIGHT_DECAY,
     AdamW,
@@ -160,10 +162,39 @@ def test_adamw_in_place_step_is_byte_identical_to_out_of_place_formula():
             assert p.data.tobytes() == ref[k].tobytes(), (k, t)
 
 
+@pytest.mark.parametrize("shape", [(2 * ADAM_CHUNK + 3,), (1000, 37), (3, ADAM_CHUNK + 5)],
+                         ids=["1d", "2d", "row_above_the_budget"])
+def test_adamw_sliced_update_has_the_bytes_of_the_whole_array_formula(shape):
+    """Parameters larger than the scratch budget, and not a multiple of it,
+    get the whole-array formula's bytes, through a scratch of at most
+    ADAM_CHUNK elements (or one row) rather than one the parameter's size."""
+    rng = np.random.default_rng(12)
+    edge = [-0.0, 0.0, 5e-324, -5e-324, -1e-310, 2.2250738585072014e-308]
+    p = Tensor(rng.standard_normal(shape), requires_grad=True)
+    p.data.flat[:len(edge)] = edge
+    opt = AdamW({"p": p})
+    ref, m, v = p.data.copy(), np.zeros(shape), np.zeros(shape)
+    b1, b2 = ADAM_BETAS
+    for t in range(1, 4):
+        lr_t = 1e-2 / t
+        g = rng.standard_normal(shape)
+        g.flat[-len(edge):] = edge
+        p.grad = g.copy()
+        ref = ref * (1.0 - lr_t * WEIGHT_DECAY)
+        m = b1 * m + (1.0 - b1) * g
+        v = b2 * v + (1.0 - b2) * g * g
+        ref = ref - lr_t * (m / (1.0 - b1 ** t)) / (np.sqrt(v / (1.0 - b2 ** t)) + ADAM_EPS)
+        _, peak = traced_peak(lambda: opt.step(lr_t))
+        assert p.data.tobytes() == ref.tobytes(), t
+        # isfinite's bool mask, then the scratch; 4 KiB for the slices' objects
+        assert peak <= p.data.nbytes // 8 + 8 * max(ADAM_CHUNK, shape[-1]) + 2 ** 12, peak
+
+
 def test_adamw_step_consumes_the_gradients_with_one_scratch_array():
     """The update is computed in the gradient's array, so a step's peak is
-    one parameter-sized scratch plus isfinite's bool mask; computing the
-    update in fresh arrays held two parameter-sized temporaries at once."""
+    isfinite's bool mask or the update's scratch of at most ADAM_CHUNK
+    elements; computing the update in fresh arrays held two
+    parameter-sized temporaries at once."""
     rng = np.random.default_rng(6)
     p = Tensor(rng.standard_normal((256, 256)), requires_grad=True)
     opt = AdamW({"p": p})
@@ -398,16 +429,13 @@ def test_wide_training_step_peak_memory_is_bounded():
     assert peak < 20 * 2 ** 20, f"{peak / 2 ** 20:.1f} MiB"
 
 
-def test_mlp_epoch_holds_one_graph_one_gradient_set_and_one_scratch():
-    """One epoch of the c04-shaped mlp (4 channels x 96 steps, hidden 512,
-    batch 128), traced from before the model is built.  Its live set is the
-    parameters, AdamW's two moments, one gradient set, one scratch array
-    the size of the largest parameter, and one step's graph.  The graph's
-    allowance is twice what the forward saves for backward: the flattened
-    input, two hidden activations and their relu masks (1.5 MiB).  The bound
-    is 19.0 MiB and the epoch peaks at 18.0 MiB.  Holding the graph through
-    the update, every gradient through validation, and relu's inputs instead
-    of masks peaked at 20.8 MiB."""
+@functools.cache
+def traced_mlp_epoch():
+    """(peak bytes, each parameter's bytes, bytes the forward saves for backward)
+    of one epoch of the c04-shaped mlp (4 channels x 96 steps, hidden 512,
+    batch 128), traced from before the model is built.  What the forward
+    saves is the flattened input, two hidden activations and their relu
+    masks (1.5 MiB)."""
     ds = small_additive(length=2048, l_ctx=96)
     cfg = TrainConfig(lr=3e-3, batch_size=128, max_epochs=1, patience=1)
 
@@ -419,7 +447,30 @@ def test_mlp_epoch_holds_one_graph_one_gradient_set_and_one_scratch():
     model, peak = traced_peak(fit)
     sizes = [p.data.nbytes for p in model.parameters().values()]
     saved = 8 * cfg.batch_size * (96 * 4 + 2 * 512) + cfg.batch_size * 2 * 512
+    return peak, sizes, saved
+
+
+def test_mlp_epoch_holds_one_graph_one_gradient_set_and_one_scratch():
+    """The epoch's live set is the parameters, AdamW's two moments, one
+    gradient set and one step's graph, whose allowance is twice what the
+    forward saves.  The bound also allows a scratch array the size of the
+    largest parameter, 19.0 MiB in all.  The epoch peaks at 16.6 MiB; it
+    peaked at 18.0 MiB while a leaf's first gradient was added into zeros
+    and AdamW's scratch was parameter-sized, and at 20.8 MiB while the
+    graph lived through the update, every gradient through validation, and
+    relu saved its inputs instead of masks."""
+    peak, sizes, saved = traced_mlp_epoch()
     bound = 4 * sum(sizes) + max(sizes) + 2 * saved
+    assert peak <= bound, f"{peak / 2 ** 20:.2f} MiB > {bound / 2 ** 20:.2f} MiB"
+
+
+def test_mlp_epoch_holds_no_parameter_sized_scratch():
+    """The same epoch within 4 x parameters + 2 x saved (17.05 MiB): no
+    parameter-sized temporary on top.  A leaf takes its first gradient
+    array instead of adding it into zeros (a second copy of fc2.w's 2 MiB
+    gradient), and AdamW's scratch holds at most ADAM_CHUNK elements."""
+    peak, sizes, saved = traced_mlp_epoch()
+    bound = 4 * sum(sizes) + 2 * saved
     assert peak <= bound, f"{peak / 2 ** 20:.2f} MiB > {bound / 2 ** 20:.2f} MiB"
 
 
