@@ -338,14 +338,14 @@ def _write_atomic(path, write):
         tmp.unlink(missing_ok=True)
 
 
-def _write_csv_atomic(path, header, row_blocks):
-    """Write ``header``, then each block of rows, to ``path`` as CSV, atomically."""
+def _write_csv_atomic(path, rows, blocks=()):
+    """Write ``rows`` through csv.writer, then each block of CSV text as it
+    is, to ``path``, atomically."""
     def write(tmp):
         with open(tmp, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for rows in row_blocks:
-                writer.writerows(rows)
+            csv.writer(fh).writerows(rows)
+            for block in blocks:
+                fh.write(block)
 
     _write_atomic(path, write)
 
@@ -356,12 +356,16 @@ _CSV_BLOCK_ROWS = 1024
 def cmd_gen_data(args):
     dataset, _ = resolve_dataset(args.dataset, {"length": args.length, "data_seed": args.seed})
 
-    # csv writes floats with repr.  Rows go in blocks, so that only one
-    # block's Python floats exist at a time, not the whole table's.
+    # csv.writer writes a float as its repr, and no float needs quoting, so
+    # %r and csv's \r\n give its exact bytes at the cost of one repr per
+    # value.  Rows go in blocks, so that only one block's Python floats
+    # exist at a time, not the whole table's.
     out = Path(args.out)
-    _write_csv_atomic(out, dataset.channel_names,
-                      (dataset.values[lo:lo + _CSV_BLOCK_ROWS].tolist()
-                       for lo in range(0, dataset.length, _CSV_BLOCK_ROWS)))
+    row = ",".join(["%r"] * dataset.n_channels) + "\r\n"
+    blocks = (dataset.values[lo:lo + _CSV_BLOCK_ROWS]
+              for lo in range(0, dataset.length, _CSV_BLOCK_ROWS))
+    _write_csv_atomic(out, [dataset.channel_names],
+                      (row * len(block) % tuple(block.ravel().tolist()) for block in blocks))
 
     sidecar = out.with_name(out.stem + ".graph.txt")
     names = dataset.channel_names
@@ -555,7 +559,7 @@ def cmd_report(args):
         header.append("pure_to_leaky_mse")
 
     out = Path(args.out)
-    _write_csv_atomic(out, header, [rows])
+    _write_csv_atomic(out, [header, *rows])
     print(f"wrote {out} ({len(rows)} rows)")
     return 0
 

@@ -78,13 +78,22 @@ class SyntheticConfig:
             raise ValueError(f"length must be >= 1, got {self.length}")
 
 
+_AR1_CHUNK = 4096  # drive values turned into Python floats at a time; not from the paper
+
+
 def _ar1(coeff, drive):
-    """x_t = coeff * x_{t-1} + drive_t, zero-initialized."""
+    """x_t = coeff * x_{t-1} + drive_t, zero-initialized.
+
+    The recursion runs over Python floats, whose multiply and add are the
+    same IEEE double operations as numpy's scalars, so the bits are too.  The
+    drive is converted a chunk at a time, so no list of the whole drive is
+    ever held.
+    """
     out = np.empty_like(drive)
     prev = 0.0
-    for t in range(drive.shape[0]):
-        prev = coeff * prev + drive[t]
-        out[t] = prev
+    for lo in range(0, len(drive), _AR1_CHUNK):
+        out[lo:lo + _AR1_CHUNK] = [prev := coeff * prev + d
+                                   for d in drive[lo:lo + _AR1_CHUNK].tolist()]
     return out
 
 

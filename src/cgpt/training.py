@@ -92,7 +92,8 @@ class AdamW:
             g = p.grad
             if g is None:
                 g = np.zeros_like(p.data)
-            elif not np.isfinite(g).all():
+            elif g.size and not (math.isfinite(g.min()) and math.isfinite(g.max())):
+                # nan and inf reach min or max, with no array the gradient's size
                 raise DivergenceError(f"non-finite gradient in parameter {name!r}")
             p.data *= 1.0 - lr_t * WEIGHT_DECAY
             # In place, rows at a time, with the rounding of m = b1*m + (1-b1)*g,

@@ -23,6 +23,8 @@ from cgpt.layers import EncoderConfig
 from cgpt.model import CgptConfig, CgptModel
 from cgpt.training import RunResult, evaluate, result_record
 
+from conftest import traced_peak
+
 # Small enough to train in well under a second, large enough that every
 # split still holds 96->1 windows under the 70/20/10 ratio policy.  TINY
 # holds the data and training keys; a model kind adds only keys it reads,
@@ -104,12 +106,16 @@ def test_gen_data_csv_loads_back_exactly(tmp_path):
     np.testing.assert_array_equal(reloaded.values, direct.values)
 
 
-# sha256 of gen-data CSVs; csv writes every float with repr.  2500 rows
-# span several of the blocks gen-data writes at a time.
+# sha256 of gen-data CSVs, as csv.writer wrote them: every float as its
+# repr.  2500 rows span several of the blocks gen-data writes at a time;
+# 9000 rows cross the generator's AR(1) chunk and nine blocks; 60000 rows
+# is the eval-sweep benchmark's input.
 GEN_DATA_CSV_SHA256 = {
     ("additive", 0, 600): "9adaee36915426c894577622adab3e2720f950d8053def50a4f12315c9e133f0",
     ("interactive", 3, 600): "aca1b1f020625e9848ce45a3ee48069f69eb940cae0887a6ab718bb65dfe6acb",
     ("additive", 0, 2500): "ff9db9125358a4229a60802eaa97f3c25b500ead9a15852d3a6b09314a9a0df9",
+    ("interactive", 5, 9000): "ebaa141c755b88d42aa0ade0a665b2883eb6b1f0806adb4c981202b3f0f4bef0",
+    ("additive", 0, 60000): "5b48ae4c10e5dedc0e307b41cae425672c6499a78934aef23bff790ae4438ed1",
 }
 
 
@@ -121,6 +127,19 @@ def test_gen_data_csv_matches_pinned_bytes(tmp_path, kind, seed, length):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GEN_DATA_CSV_SHA256[kind, seed, length]
 
 
+def test_gen_data_holds_about_two_copies_of_the_values(tmp_path, capsys):
+    """gen-data's traced peak is the generator's columns and one values
+    array, with only one block of rows and one chunk of the AR(1) drive as
+    Python floats at a time; a list of the whole drive or table breaks it."""
+    out = tmp_path / "data.csv"
+    argv = ["gen-data", "--dataset", "additive", "--out", str(out), "--length"]
+    assert main([*argv, "10"]) == 0  # so the interpreter's one-time allocations are not traced
+    rc, peak = traced_peak(lambda: main([*argv, "60000"]))
+    assert rc == 0
+    values_bytes = generate_additive(SyntheticConfig(length=60000)).values.nbytes
+    assert peak <= 2.5 * values_bytes, peak / values_bytes
+
+
 @pytest.mark.parametrize("command", ["gen-data", "report"])
 def test_write_failing_midway_leaves_neither_file_nor_tmp(tmp_path, monkeypatch, capsys, command):
     runs = tmp_path / "runs"
@@ -128,7 +147,7 @@ def test_write_failing_midway_leaves_neither_file_nor_tmp(tmp_path, monkeypatch,
     out = tmp_path / "out.csv"
     argv = {"gen-data": ["gen-data", "--dataset", "additive", "--length", "2500"],
             "report": ["report", "--results", str(runs), "--experiment", "2"]}[command]
-    real_writer = csv.writer
+    real_writer, real_open = csv.writer, open
 
     class FailingWriter:
         """Writes the header and the first block of rows, then fails."""
@@ -143,7 +162,31 @@ def test_write_failing_midway_leaves_neither_file_nor_tmp(tmp_path, monkeypatch,
             self._writer.writerows(rows)
             raise OSError("disk full")
 
-    monkeypatch.setattr(cli.csv, "writer", FailingWriter)
+    class FailingFile:
+        """Takes two writes (gen-data's header, then its first block of
+        rows) and fails on the third."""
+
+        def __init__(self, *args, **kwargs):
+            self._fh = real_open(*args, **kwargs)
+            self._writes = 0
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self._fh.close()
+
+        def write(self, text):
+            if self._writes == 2:
+                raise OSError("disk full")
+            self._writes += 1
+            return self._fh.write(text)
+
+    if command == "gen-data":
+        # gen-data writes its rows as text, so the file itself fails.
+        monkeypatch.setattr(cli, "open", FailingFile, raising=False)
+    else:
+        monkeypatch.setattr(cli.csv, "writer", FailingWriter)
     assert main([*argv, "--out", str(out)]) == 2
     assert "disk full" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["runs"]

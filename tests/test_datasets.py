@@ -9,6 +9,7 @@ from cgpt.datasets import (
     SplitPolicy,
     SyntheticConfig,
     TimeSeriesDataset,
+    _ar1,
     generate_additive,
     generate_interactive,
     load_csv,
@@ -129,6 +130,33 @@ def test_dataset_values_are_frozen():
 
 def test_burn_in_constant():
     assert BURN_IN == 32
+
+
+def scalar_ar1(coeff, drive):
+    """The AR(1) recursion one numpy scalar at a time: the reference."""
+    out = np.empty_like(drive)
+    prev = 0.0
+    for t in range(drive.shape[0]):
+        prev = coeff * prev + drive[t]
+        out[t] = prev
+    return out
+
+
+AR1_EDGE = [0.0, -0.0, 5e-324, -5e-324, -1e-310, 2.2250738585072014e-308,
+            1e308, -1e308, 1.7976931348623157e308, -1.7976931348623157e308, -0.0]
+
+
+@pytest.mark.parametrize("coeff", [0.9, 0.7])
+@pytest.mark.parametrize("length", [1, 2, 4095, 4096, 4097, 8193, 60032])
+def test_chunked_ar1_has_the_bits_of_the_scalar_loop(length, coeff):
+    """Signed zeros, subnormals and values near the largest double, at the
+    start, across the first chunk boundary and at the end of the drive."""
+    drive = np.random.default_rng(length).standard_normal(length)
+    for start in (0, 4090, length - len(AR1_EDGE)):
+        if 0 <= start < length:
+            edge = AR1_EDGE[:length - start]
+            drive[start:start + len(edge)] = edge
+    assert _ar1(coeff, drive).tobytes() == scalar_ar1(coeff, drive).tobytes()
 
 
 # ---------------------------------------------------------------- csv

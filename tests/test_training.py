@@ -186,15 +186,14 @@ def test_adamw_sliced_update_has_the_bytes_of_the_whole_array_formula(shape):
         ref = ref - lr_t * (m / (1.0 - b1 ** t)) / (np.sqrt(v / (1.0 - b2 ** t)) + ADAM_EPS)
         _, peak = traced_peak(lambda: opt.step(lr_t))
         assert p.data.tobytes() == ref.tobytes(), t
-        # isfinite's bool mask, then the scratch; 4 KiB for the slices' objects
-        assert peak <= p.data.nbytes // 8 + 8 * max(ADAM_CHUNK, shape[-1]) + 2 ** 12, peak
+        # the scratch; 4 KiB for the slices' objects
+        assert peak <= 8 * max(ADAM_CHUNK, shape[-1]) + 2 ** 12, peak
 
 
 def test_adamw_step_consumes_the_gradients_with_one_scratch_array():
     """The update is computed in the gradient's array, so a step's peak is
-    isfinite's bool mask or the update's scratch of at most ADAM_CHUNK
-    elements; computing the update in fresh arrays held two
-    parameter-sized temporaries at once."""
+    the update's scratch of at most ADAM_CHUNK elements; computing the
+    update in fresh arrays held two parameter-sized temporaries at once."""
     rng = np.random.default_rng(6)
     p = Tensor(rng.standard_normal((256, 256)), requires_grad=True)
     opt = AdamW({"p": p})
@@ -211,6 +210,21 @@ def test_adamw_rejects_non_finite_grad():
     p.grad = np.array([np.nan])
     with pytest.raises(DivergenceError, match="theta"):
         opt.step(1e-3)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+def test_adamw_rejects_non_finite_grad_in_the_last_chunk(bad):
+    """A non-finite value in the last ADAM_CHUNK slice of a gradient raises
+    before the parameter is written."""
+    rng = np.random.default_rng(4)
+    p = Tensor(rng.standard_normal(2 * ADAM_CHUNK + 3), requires_grad=True)
+    opt = AdamW({"theta": p})
+    before = p.data.copy()
+    p.grad = rng.standard_normal(p.data.shape)
+    p.grad[-2] = bad
+    with pytest.raises(DivergenceError, match="non-finite gradient in parameter 'theta'"):
+        opt.step(1e-3)
+    assert p.data.tobytes() == before.tobytes()
 
 
 # ---------------------------------------------------------------- evaluate
