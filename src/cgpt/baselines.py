@@ -127,10 +127,15 @@ class MlpBaseline(_Baseline):
 
         def forecast(context):
             # row-major flatten: time-major order, channels fastest
-            flat = reshape(Tensor(context), (context.shape[0], self.l_ctx * self.n_vars))
+            h = reshape(Tensor(context), (context.shape[0], self.l_ctx * self.n_vars))
             p = self.params
-            h = relu(matmul(flat, p["fc1.w"]) + p["fc1.b"])
-            h = relu(matmul(h, p["fc2.w"]) + p["fc2.b"])
-            return matmul(h, p["out.w"]) + p["out.b"]
+            # one op per statement, so that under no_grad each input dies as
+            # soon as its consumer returns: at most two (B, hidden) arrays live
+            for layer in ("fc1", "fc2"):
+                h = matmul(h, p[f"{layer}.w"])
+                h = h + p[f"{layer}.b"]
+                h = relu(h)
+            h = matmul(h, p["out.w"])
+            return h + p["out.b"]
 
         return revin_forecast(forecast, batch, revin)

@@ -41,7 +41,7 @@ MODELS = {**{v.value: CgptModel for v in Variant},
 MODEL_IDS = tuple(MODELS)
 _KINDS = {cls.kind: cls for cls in MODELS.values()}
 
-_GENERATORS = {"additive": generate_additive, "interactive": generate_interactive}
+_GENERATORS = ("additive", "interactive")
 
 # Real-world CSVs under CGPT_DATA_DIR: file name, the rule that picks the
 # target column when the config file sets no ``target``, and split policy.
@@ -251,7 +251,10 @@ def resolve_dataset(dataset_id, options=None):
 
     if dataset_id in _GENERATORS:
         cfg = SyntheticConfig(**_pick(options, length="length", seed="data_seed"))
-        dataset = _GENERATORS[dataset_id](cfg)
+        # looked up by module-level name when called, so that a rebinding of
+        # the name (a tracer, a test) is the function that runs
+        generate = generate_additive if dataset_id == "additive" else generate_interactive
+        dataset = generate(cfg)
         target = dataset.channel_names[dataset.target]
         if options.get("target", target) != target:
             raise UsageError(f"dataset {dataset_id}: config key target={options['target']} "
@@ -454,15 +457,27 @@ def _checkpoint_model(path):
         raise ValueError(f"{path}: {err}") from None
 
 
+def _test_rows(dataset_id, options, l_ctx, h_pred):
+    """(rows, split): a copy of the rows the test windows read, which are
+    the test split and the ``l_ctx`` rows of context before it, and the test
+    split's row range within that copy.  The rest of the prepared dataset
+    dies with this frame."""
+    prepared = _prepared_dataset(dataset_id, options, l_ctx, h_pred)
+    start, end = prepared.borders[2]
+    lo = max(start - l_ctx, 0)
+    rows = replace(prepared, values=prepared.values[lo:end].copy(), borders=None)
+    return rows, (start - lo, end - lo)
+
+
 def cmd_eval(args):
     options = read_config(args.config) if args.config else {}
     model, stored = _checkpoint_model(args.checkpoint)
-    prepared = _prepared_dataset(args.dataset, options, model.l_ctx, model.h_pred)
+    rows, split = _test_rows(args.dataset, options, model.l_ctx, model.h_pred)
 
     revin = stored.get("revin", False) if args.revin is None else args.revin
     # the batch size sets the order of the error sums, so score at the run's:
     # the config file's, else the one the checkpoint records
-    mae, mse = evaluate(model, prepared, prepared.borders[2],
+    mae, mse = evaluate(model, rows, split,
                         options.get("batch", stored.get("batch", TrainConfig.batch_size)), revin)
     print(format({"test_mae": repr(mae), "test_mse": repr(mse)}), end="")
     return 0
@@ -581,7 +596,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
     gen = sub.add_parser("gen-data", help="write a synthetic dataset to CSV")
-    gen.add_argument("--dataset", required=True, choices=tuple(_GENERATORS))
+    gen.add_argument("--dataset", required=True, choices=_GENERATORS)
     gen.add_argument("--seed", type=_seed, help="generator seed (default 0)")
     gen.add_argument("--length", type=_positive_int, help="rows to generate (default 6144)")
     gen.add_argument("--out", required=True, help="CSV output path")

@@ -3,7 +3,9 @@ import pytest
 
 from cgpt.baselines import DLinearModel, MlpBaseline, moving_average_matrix
 from cgpt.preprocessing import WindowBatch
-from cgpt.tensor import Tensor, grad_check, mean_axis, square
+from cgpt.tensor import Tensor, grad_check, mean_axis, no_grad, square
+
+from conftest import traced_peak
 
 
 def make_batch(batch=4, l_ctx=16, n_channels=3, h_pred=3, target=2, seed=0):
@@ -162,6 +164,16 @@ def test_mlp_revin_denormalizes_with_target_stats():
     redo = WindowBatch(scaled, batch.target_future, 2, batch.context_channels)
     moved = model.forward(redo, revin=True).data
     assert np.abs(moved - (base * 3.0 - 4.0)).max() < 1e-9
+
+
+def test_mlp_scoring_forward_holds_about_two_hidden_arrays():
+    """Under no_grad each layer's input dies as soon as its consumer
+    returns, so the forward's traced peak stays near two (B, hidden) arrays."""
+    model = MlpBaseline(96, 1, n_vars=4, hidden=512)
+    batch = make_batch(batch=256, l_ctx=96, n_channels=4, h_pred=1, target=3)
+    with no_grad():
+        _, peak = traced_peak(lambda: model.forward(batch))
+    assert peak <= 2.5 * (256 * 512 * 8)
 
 
 def test_mlp_grad_check():

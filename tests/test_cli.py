@@ -90,6 +90,23 @@ def test_gen_data_sidecar_edge_counts(tmp_path):
         assert all(e.endswith("->C3") for e in edges)
 
 
+@pytest.mark.parametrize("kind", ["additive", "interactive"])
+def test_gen_data_calls_the_generator_the_cli_name_holds(tmp_path, monkeypatch, kind):
+    """gen-data looks its generator up when it runs, so a wrapper bound to
+    the name (as the benchmark's tracer binds one) is the one it calls."""
+    generate = getattr(cli, f"generate_{kind}")
+    calls = []
+
+    def counting(cfg):
+        calls.append(cfg)
+        return generate(cfg)
+
+    monkeypatch.setattr(cli, f"generate_{kind}", counting)
+    assert main(["gen-data", "--dataset", kind, "--length", "600",
+                 "--out", str(tmp_path / "data.csv")]) == 0
+    assert calls == [SyntheticConfig(length=600)]
+
+
 def test_gen_data_is_deterministic(tmp_path):
     for name in ("a.csv", "b.csv"):
         main(["gen-data", "--dataset", "interactive", "--seed", "7",
@@ -652,6 +669,76 @@ def test_eval_prints_what_evaluate_returns_on_the_test_split(tmp_path, capsys):
     prepared, _ = prepare_dataset(dataset, policy, 96, 1)
     mae, mse = evaluate(model, prepared, prepared.borders[2], 256)
     assert capsys.readouterr().out == f"test_mae={mae!r}\ntest_mse={mse!r}\n"
+
+
+def tiny_checkpoint(path, model, n_vars):
+    """A seeded, untrained ``model`` over ``n_vars`` channels saved at
+    ``path``, scoring 64 windows at a time; returns the model."""
+    header = {"variant": model, "l_ctx": 96, "h_pred": 1, "n_vars": n_vars,
+              "d_model": 8, "d_ff": 8, "hidden": 32}
+    built = cli.MODELS[model].from_header(header, seed=1)
+    save_checkpoint(path, dict(built.config_header(), batch=64), built.parameters())
+    return built
+
+
+def write_etth1_layout(path, n_rows):
+    """An ETTh1-shaped CSV (date, two loads, OT) of ``n_rows`` rows; rows
+    from 14400 on, which no split reads, sit 1000 above the rest."""
+    rng = np.random.default_rng(5)
+    values = rng.standard_normal((n_rows, 3)).cumsum(axis=0)
+    values[14400:] += 1000.0
+    lines = ["date,HUFL,MUFL,OT"]
+    lines += [f"row{i},{a!r},{b!r},{c!r}" for i, (a, b, c) in enumerate(values.tolist())]
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("layout", ["ratio", "etth1"])
+def test_eval_prints_what_evaluate_returns_on_the_full_prepared_dataset(tmp_path, monkeypatch,
+                                                                        capsys, layout):
+    """``cgpt eval`` scores a copy of only the rows the test windows read;
+    every kind, with and without RevIN, prints the bytes of scoring the
+    whole prepared dataset's test split."""
+    if layout == "ratio":
+        data = tmp_path / "additive.csv"
+        assert main(["gen-data", "--dataset", "additive", "--length", "1024",
+                     "--out", str(data)]) == 0
+        dataset, options = str(data), {"target": "C3"}
+        (tmp_path / "eval.cfg").write_text("target=C3\n")
+        flags = ["--config", str(tmp_path / "eval.cfg")]
+    else:
+        monkeypatch.setenv("CGPT_DATA_DIR", str(tmp_path))
+        write_etth1_layout(tmp_path / "ETTh1.csv", 14400 + 300)
+        dataset, options, flags = "etth1", {}, []
+    prepared, _ = prepare_dataset(*cli.resolve_dataset(dataset, options), 96, 1)
+    for model in ("leaky", "strict", "pure", "dlinear", "mlp"):
+        ckpt = tmp_path / f"{model}.ckpt"
+        built = tiny_checkpoint(ckpt, model, prepared.n_channels)
+        for revin in (True, False):
+            capsys.readouterr()
+            assert main(["eval", "--checkpoint", str(ckpt), "--dataset", dataset,
+                         "--revin", "yes" if revin else "no", *flags]) == 0
+            mae, mse = evaluate(built, prepared, prepared.borders[2], 64, revin)
+            assert capsys.readouterr().out == f"test_mae={mae!r}\ntest_mse={mse!r}\n", \
+                (model, revin)
+
+
+def test_eval_scores_only_the_test_rows_and_their_context(tmp_path, monkeypatch, capsys):
+    seen = []
+
+    def recording(model, dataset, split, batch_size, revin=False):
+        seen.append((dataset, split))
+        return 0.0, 0.0
+
+    monkeypatch.setattr(cli, "evaluate", recording)
+    tiny_checkpoint(tmp_path / "dlinear.ckpt", "dlinear", 4)
+    assert main(["eval", "--checkpoint", str(tmp_path / "dlinear.ckpt"),
+                 "--dataset", "additive"]) == 0
+    prepared, _ = prepare_dataset(*cli.resolve_dataset("additive"), 96, 1)
+    start, end = prepared.borders[2]
+    lo = max(start - 96, 0)
+    [(rows, split)] = seen
+    assert rows.length == end - lo and split == (start - lo, end - lo)
+    np.testing.assert_array_equal(rows.values, prepared.values[lo:end])
 
 
 def test_eval_rejects_garbage_checkpoint(tmp_path, capsys):
