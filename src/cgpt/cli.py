@@ -389,8 +389,14 @@ def _prepared_dataset(dataset_id, options, l_ctx, h_pred):
     return prepared
 
 
+_REVIN_MIN_CONTEXT = 2  # RevIN takes each window's mean and stdev over the context
+
+
 def cmd_train(args):
     spec = build_spec(args)
+    if spec.revin and spec.context < _REVIN_MIN_CONTEXT:
+        raise UsageError(f"--context/context {spec.context} with --revin/revin yes: RevIN "
+                         f"needs a context of at least {_REVIN_MIN_CONTEXT} steps")
     prepared = _prepared_dataset(spec.dataset, spec.options, spec.context, spec.horizon)
 
     task = f"{spec.context}to{spec.horizon}"
@@ -472,9 +478,12 @@ def _test_rows(dataset_id, options, l_ctx, h_pred):
 def cmd_eval(args):
     options = read_config(args.config) if args.config else {}
     model, stored = _checkpoint_model(args.checkpoint)
+    revin = stored.get("revin", False) if args.revin is None else args.revin
+    if revin and model.l_ctx < _REVIN_MIN_CONTEXT:
+        raise ValueError(f"{args.checkpoint}: header key l_ctx={model.l_ctx} is too short for "
+                         f"revin, which needs a context of at least {_REVIN_MIN_CONTEXT} steps")
     rows, split = _test_rows(args.dataset, options, model.l_ctx, model.h_pred)
 
-    revin = stored.get("revin", False) if args.revin is None else args.revin
     # the batch size sets the order of the error sums, so score at the run's:
     # the config file's, else the one the checkpoint records
     mae, mse = evaluate(model, rows, split,

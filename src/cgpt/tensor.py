@@ -17,7 +17,8 @@ hold an output's array, and each closure saves only what it reads:
   ``split_heads``: the inverse axis permutation and the input shape;
   ``merge_heads``: the split shape;
 * ``softmax_last_dim``: its output; ``layer_norm_last_dim``: its output
-  and the inverse deviations; ``gelu``: its input and inner ``tanh``;
+  and the inverse deviations; ``gelu``: its local derivative, which a
+  recorded forward computes;
 * ``scale``: its factor; ``transpose_last_two``: nothing.
 
 So an intermediate array that no closure saved is freed as soon as the
@@ -411,6 +412,14 @@ def gelu(a):
     The forward runs the formula's operations in the formula's order over
     the whole array, in place where it can.  Do not reassociate:
     ``((1 + t) * x) * 0.5`` overflows at x = 1e308.
+
+    When the call is recorded for backward, the forward also computes the
+    local derivative ``d = 0.5*(1 + t) + 0.5*x*(1 - t^2)*du``, with
+    ``du = c*(1 + 3*0.044715*x^2)``, and the closure saves only ``d``:
+    neither ``x`` nor ``t`` outlives the call.  So the derivative's
+    floating-point warnings (``x^2`` overflowing, ``0 * inf``) come from a
+    recorded forward, not from backward.  At most three arrays of ``x``'s
+    size are live at once, as in the unrecorded forward.
     """
     # contiguous, because the rounding of power and tanh can depend on layout
     x = np.ascontiguousarray(a.data)
@@ -419,14 +428,33 @@ def gelu(a):
     t += x
     t *= _GELU_C
     np.tanh(t, out=t)
-    out = x * 0.5
-    out *= t + 1.0
+    if not (_GRAD_ENABLED and a.requires_grad):
+        out = x * 0.5
+        out *= t + 1.0
+        return _record(out, (a,), None)
+
+    # d's operations in d's association, reordered only across commuting
+    # operands; ``t1`` and ``h`` each serve both ``out`` and ``d``
+    t1 = t + 1.0
+    np.square(t, out=t)
+    np.subtract(1.0, t, out=t)          # 1 - t^2
+    h = x * 0.5
+    t *= h                              # 0.5*x*(1 - t^2)
+    np.square(x, out=h)
+    h *= 3 * 0.044715
+    h += 1.0
+    h *= _GELU_C                        # du
+    t *= h
+    np.multiply(x, 0.5, out=h)
+    h *= t1                             # out
+    t1 *= 0.5
+    t += t1                             # d
+    d = t
 
     def bwd(g):
-        du = _GELU_C * (1.0 + 3 * 0.044715 * x ** 2)
-        return (g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t ** 2) * du),)
+        return (g * d,)
 
-    return _record(out, (a,), bwd)
+    return _record(h, (a,), bwd)
 
 
 def relu(a):
@@ -521,7 +549,9 @@ def grad_check(f, x, step=1e-5):
     """Max relative error between backward() and central finite differences.
 
     ``f`` must map ``x`` to a scalar Tensor and rebuild its graph on each
-    call; ``x.data`` is perturbed in place one coordinate at a time.
+    call; ``x.data`` is perturbed in place one coordinate at a time.  The
+    finite-difference calls need only values, so they run under
+    ``no_grad``: the same floats, with no graph built.
     """
     if not (0.0 < step <= 1e-3):
         raise ValueError(f"grad_check: step must be in (0, 1e-3], got {step}")
@@ -541,16 +571,17 @@ def grad_check(f, x, step=1e-5):
     fd = np.zeros_like(x.data)
     flat = x.data.reshape(-1)
     fd_flat = fd.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + step
-        hi = f(x).item()
-        flat[i] = orig - step
-        lo = f(x).item()
-        flat[i] = orig
-        if not (math.isfinite(hi) and math.isfinite(lo)):
-            raise ValueError(f"grad_check: f not finite near coordinate {i}")
-        fd_flat[i] = (hi - lo) / (2.0 * step)
+    with no_grad():
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + step
+            hi = f(x).item()
+            flat[i] = orig - step
+            lo = f(x).item()
+            flat[i] = orig
+            if not (math.isfinite(hi) and math.isfinite(lo)):
+                raise ValueError(f"grad_check: f not finite near coordinate {i}")
+            fd_flat[i] = (hi - lo) / (2.0 * step)
 
     rel = np.abs(analytic - fd) / np.maximum(1.0, np.abs(fd))
     return float(rel.max())

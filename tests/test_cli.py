@@ -432,6 +432,22 @@ def test_header_above_the_size_cap_is_a_runtime_error_naming_the_key(tmp_path, c
     assert "more than the cap of 134217728" in captured.err
 
 
+@pytest.mark.parametrize("in_config", [False, True])
+def test_revin_on_a_one_step_context_is_usage_error(tmp_path, monkeypatch, capsys, in_config):
+    # RevIN normalizes each window over its context, which one step cannot
+    # give; the error names both settings before any data is read
+    monkeypatch.setattr(cli, "resolve_dataset", lambda *a: pytest.fail("data was read"))
+    cfg = tmp_path / "one.cfg"
+    cfg.write_text("context=1\nrevin=yes\n" if in_config else "")
+    flags = [] if in_config else ["--context", "1", "--revin", "yes"]
+    assert main(["train", "--config", str(cfg), "--dataset", "additive", "--model", "dlinear",
+                 "--horizon", "1", "--seeds", "0", "--out", str(tmp_path / "runs"),
+                 *flags]) == 1
+    err = capsys.readouterr().err
+    assert "--context/context 1 with --revin/revin yes" in err
+    assert not (tmp_path / "runs").exists()
+
+
 def test_missing_dataset_is_usage_error(tmp_path, capsys):
     assert main(["train", "--model", "leaky", "--out", str(tmp_path)]) == 1
     assert "--dataset" in capsys.readouterr().err
@@ -783,6 +799,19 @@ def test_eval_reads_the_header_revin_strictly(tmp_path, capsys, revin, code):
         assert main(["eval", "--checkpoint", str(ckpt), "--dataset", "additive",
                      "--revin", "no"]) == 0
         assert capsys.readouterr().out == captured.out
+
+
+@pytest.mark.parametrize("stored, flag", [("yes", []), ("no", ["--revin", "yes"])])
+def test_eval_with_revin_of_a_one_step_context_names_the_checkpoint(tmp_path, monkeypatch,
+                                                                     capsys, stored, flag):
+    model = DLinearModel(1, 1)
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(ckpt, dict(model.config_header(), revin=stored), model.parameters())
+    monkeypatch.setattr(cli, "resolve_dataset", lambda *a: pytest.fail("data was read"))
+    assert main(["eval", "--checkpoint", str(ckpt), "--dataset", "additive", *flag]) == 2
+    captured = capsys.readouterr()
+    assert "test_mae" not in captured.out
+    assert f"{ckpt}: header key l_ctx=1 is too short for revin" in captured.err
 
 
 def test_eval_rejects_checkpoint_with_non_finite_weight(tmp_path, capsys):

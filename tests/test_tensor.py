@@ -2,6 +2,7 @@ import inspect
 import math
 import subprocess
 import sys
+import tracemalloc
 import warnings
 import weakref
 from pathlib import Path
@@ -146,6 +147,46 @@ def test_gelu_keeps_the_callers_error_state():
     with np.errstate(over="ignore"), warnings.catch_warnings():
         warnings.simplefilter("error")
         assert T.gelu(Tensor(x)).data[-1] == 1e200
+
+
+GELU_N = 1 << 16  # 512 KiB of float64s
+
+
+def test_recorded_gelu_saves_one_array_for_its_backward():
+    # the graph holds gelu's output and its derivative, not its input or
+    # its inner tanh: the input is an intermediate the caller drops
+    x = np.random.default_rng(0).standard_normal(GELU_N) * 3.0
+    leaf = Tensor(np.zeros(1), requires_grad=True)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        a = T.add(Tensor(x), leaf)  # add saves shapes only
+        y = T.gelu(a)
+        del a
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert held <= 2 * GELU_N * 8 + 64 * 1024, f"{held / 2 ** 20:.2f} MiB"
+    backward(sum_axis(y))
+    assert leaf.grad.tobytes() == serial_gelu(x)[1].sum(keepdims=True).tobytes()
+
+
+@pytest.mark.parametrize("recorded", [False, True])
+def test_gelu_forward_peaks_at_three_arrays(recorded):
+    # the unrecorded forward (evaluation) makes t, out and t + 1; the
+    # recorded one computes its derivative in those three arrays' space
+    x = Tensor(mixed_sign(GELU_N), requires_grad=True)
+
+    def forward():
+        with np.errstate(all="ignore"):
+            if recorded:
+                return T.gelu(x)
+            with no_grad():
+                return T.gelu(x)
+
+    y, peak = traced_peak(forward)
+    assert y.requires_grad is recorded
+    assert peak <= 3 * GELU_N * 8 + 4 * 1024, f"{peak / 2 ** 20:.2f} MiB"
 
 
 def test_importing_the_cli_starts_no_thread_and_no_executor():
@@ -587,6 +628,21 @@ def test_grad_check_rejects_bad_step():
         grad_check(lambda t: sum_axis(t), x, step=0.0)
     with pytest.raises(ValueError):
         grad_check(lambda t: sum_axis(t), x, step=0.01)
+
+
+def test_grad_check_differences_without_a_graph():
+    # only the analytic pass needs a graph; each f(x) of the finite
+    # differences needs only its value
+    seen = []
+
+    def f(t):
+        seen.append(T._GRAD_ENABLED)
+        return sum_axis(T.gelu(t))
+
+    x = Tensor(np.array([0.3, -1.2, 0.9]), requires_grad=True)
+    assert grad_check(f, x) < 1e-6
+    assert seen == [True] + [False] * 6
+    assert T._GRAD_ENABLED
 
 
 @pytest.mark.parametrize("seed", SEEDS)

@@ -415,16 +415,22 @@ def test_non_finite_evaluation_in_train_is_a_divergence(split):
         train(model, ds, TrainConfig(batch_size=64, max_epochs=1, patience=1))
 
 
-def test_wide_training_step_peak_memory_is_bounded():
-    """One strict step at the benchmark's wide shape: 32 channels, no
-    graph (31 contexts), 4 heads, revin.  Its graph has ~1400 nodes.
-    Keeping every intermediate array until the step ends peaks at ~34 MiB;
-    keeping only what backward reads, at ~15 MiB."""
+def wide_strict():
+    """A strict model and one batch at the benchmark's wide shape: 32
+    channels, no graph (31 contexts), 4 heads; run it with revin."""
     enc = EncoderConfig(d_model=16, d_ff=32, n_heads=4, e_layers=1, patch=PatchConfig(8, 8))
     model = CgptModel(CgptConfig(enc, 48, 24, Variant.STRICT_PAIRWISE), seed=0)
     rng = np.random.default_rng(0)
     batch = WindowBatch(rng.standard_normal((32, 48, 32)), rng.standard_normal((32, 24)),
                         31, tuple(range(31)))
+    return model, batch
+
+
+def test_wide_training_step_peak_memory_is_bounded():
+    """One strict step at the wide shape.  Its graph has ~1400 nodes.
+    Keeping every intermediate array until the step ends peaks at ~34 MiB;
+    keeping only what backward reads, at ~12.6 MiB."""
+    model, batch = wide_strict()
     optimizer = AdamW(model.parameters())
 
     def step():
@@ -441,6 +447,22 @@ def test_wide_training_step_peak_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 20 * 2 ** 20, f"{peak / 2 ** 20:.1f} MiB"
+
+
+def test_wide_forward_graph_is_bounded():
+    """What one strict forward plus its loss holds for backward, at the
+    wide shape.  Each gelu saves its derivative alone, not its input and
+    inner tanh as well: ~12.2 MiB, against ~13.9 MiB when it saved both."""
+    model, batch = wide_strict()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        loss = mse_loss(model.forward(batch, revin=True), batch.target_future)
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert loss.requires_grad
+    assert held <= 12.6 * 2 ** 20, f"{held / 2 ** 20:.2f} MiB"
 
 
 @functools.cache
