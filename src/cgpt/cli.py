@@ -31,7 +31,7 @@ from .baselines import DLinearModel, MlpBaseline
 from .checkpoint import format, load_checkpoint, parse, read_value, save_checkpoint
 from .datasets import (SplitPolicy, SyntheticConfig, generate_additive,
                        generate_interactive, load_csv, prepare_dataset)
-from .model import CausalGraph, CgptModel, Variant
+from .model import CausalGraph, CgptModel, Variant, select_contexts
 from .training import TrainConfig, evaluate, mean_std, result_record, run_seeds, train
 
 # Model id -> class.  The classes turn a flat header of hyperparameters
@@ -206,21 +206,41 @@ def _data_dir():
 
 
 def _first_column(path, predicate, description):
-    with open(path, newline="") as fh:
-        for col in next(csv.reader(fh), []):
-            if predicate(col):
-                return col
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            header = next(csv.reader(fh), [])
+    except UnicodeDecodeError as err:  # a ValueError that names no file
+        raise ValueError(f"{path}: {err}") from None
+    for col in header:
+        if predicate(col):
+            return col
     raise ValueError(f"{path}: no column {description}")
 
 
+def _csv_path(dataset_id):
+    """The file a ``.csv`` dataset id names: the path itself, else that
+    path under CGPT_DATA_DIR."""
+    path = Path(dataset_id)
+    return path if path.exists() else _data_dir() / dataset_id
+
+
+def _sidecar_path(csv_path):
+    return csv_path.with_name(csv_path.stem + ".graph.txt")
+
+
 def _load_graph_sidecar(csv_path, channel_names):
-    """Optional '<stem>.graph.txt' next to a CSV: one 'NAME->NAME' edge per line."""
-    sidecar = csv_path.with_name(csv_path.stem + ".graph.txt")
+    """Optional '<stem>.graph.txt' next to a CSV: one 'NAME->NAME' edge per
+    line, in UTF-8; a leading byte-order mark is dropped."""
+    sidecar = _sidecar_path(csv_path)
     if not sidecar.exists():
         return None
+    try:
+        text = sidecar.read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as err:  # a ValueError that names no file
+        raise ValueError(f"{sidecar}: {err}") from None
     index = {name: i for i, name in enumerate(channel_names)}
     edges = []
-    for lineno, line in enumerate(sidecar.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped:
             continue
@@ -270,9 +290,7 @@ def resolve_dataset(dataset_id, options=None):
         return load_csv(path, target=target, name=dataset_id), policy
 
     if dataset_id.endswith(".csv"):
-        path = Path(dataset_id)
-        if not path.exists():
-            path = _data_dir() / dataset_id
+        path = _csv_path(dataset_id)
         target = options.get("target")
         if target is None:
             raise UsageError(f"dataset {dataset_id}: a CSV dataset needs a "
@@ -389,6 +407,20 @@ def _prepared_dataset(dataset_id, options, l_ctx, h_pred):
     return prepared
 
 
+def _require_contexts(variant, dataset, dataset_id):
+    """A ``pure`` model reads only the target's contexts, so a dataset that
+    gives its target none is an error before any epoch or batch runs."""
+    if variant != Variant.PURE_INFLUENCE.value or select_contexts(
+            dataset.graph, dataset.target, range(dataset.n_channels)):
+        return
+    target = dataset.channel_names[dataset.target]
+    # only a sidecar gives a graph in which the target has no parent
+    why = (f"dataset {dataset.name} has no channel besides target {target!r}"
+           if dataset.graph is None else
+           f"{_sidecar_path(_csv_path(dataset_id))} gives target {target!r} no parent")
+    raise ValueError(f"pure needs at least one context channel, but {why}")
+
+
 _REVIN_MIN_CONTEXT = 2  # RevIN takes each window's mean and stdev over the context
 
 
@@ -398,6 +430,7 @@ def cmd_train(args):
         raise UsageError(f"--context/context {spec.context} with --revin/revin yes: RevIN "
                          f"needs a context of at least {_REVIN_MIN_CONTEXT} steps")
     prepared = _prepared_dataset(spec.dataset, spec.options, spec.context, spec.horizon)
+    _require_contexts(spec.model, prepared, spec.dataset)
 
     task = f"{spec.context}to{spec.horizon}"
     revin_dir = "revin_yes" if spec.revin else "revin_no"
@@ -483,6 +516,7 @@ def cmd_eval(args):
         raise ValueError(f"{args.checkpoint}: header key l_ctx={model.l_ctx} is too short for "
                          f"revin, which needs a context of at least {_REVIN_MIN_CONTEXT} steps")
     rows, split = _test_rows(args.dataset, options, model.l_ctx, model.h_pred)
+    _require_contexts(stored.get("variant"), rows, args.dataset)
 
     # the batch size sets the order of the error sums, so score at the run's:
     # the config file's, else the one the checkpoint records

@@ -151,54 +151,59 @@ def generate_interactive(cfg=SyntheticConfig()):
                        CausalGraph.from_edges([(0, 3), (1, 3), (2, 3)]))
 
 
+_SCAN_BYTES = 1 << 15  # bytes of a CSV scanned at a time; not from the paper
+# A quote needs the csv module's parser, and numpy's float parser strips the
+# separators \x1c-\x1f as whitespace where float() rejects them: a file that
+# holds any of these bytes is read by the row loop.
+_ROW_LOOP_BYTES = b'"\x1c\x1d\x1e\x1f'
+
+
 def load_csv(path, target, name=None):
-    """Read a header+rows CSV into a dataset; strict about malformed cells.
+    """Read a header+rows UTF-8 CSV into a dataset; strict about malformed cells.
 
-    A column named "date" is dropped; every other column is a channel, and
-    no two of them may share a name.
+    A leading byte-order mark is dropped.  A column named "date" is dropped;
+    every other column is a channel, and no two of them may share a name.
 
-    Kept cells are appended to one flat float64 buffer as each row is read,
-    and the dataset's values are a view of that buffer, so the load holds
-    about one copy of the values.
+    A plain file -- no quote, no empty line, the header's field count on
+    every line, and a last column that is kept -- is parsed by one
+    ``np.loadtxt`` on the open file, straight into the value matrix.  numpy
+    and ``float()`` both convert a cell with ``PyOS_string_to_double``, so
+    the bits are the same.  Any other file, and any file numpy rejects, is
+    read again by the row loop, which takes every spelling ``float()``
+    takes and names each rejected line.  Either way the load holds about
+    one copy of the values, and the file is read a block or a line at a
+    time, never whole.
     """
     path = Path(path)
     if not path.exists():
         raise ValueError(f"no such file: {path}")
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty dataset (no header row)") from None
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            header = next(csv.reader(fh), None)
+            if header is None:
+                raise ValueError(f"{path}: empty dataset (no header row)")
 
-        kept = [(i, col) for i, col in enumerate(header) if col != "date"]
-        names = [col for _, col in kept]
-        repeated = [col for col, count in Counter(names).items() if count > 1]
-        if repeated:
-            raise ValueError(f"{path}: repeated column names {repeated}")
-        if target not in names:
-            raise ValueError(f"{path}: target column {target!r} not in columns {names}")
+            kept = [(i, col) for i, col in enumerate(header) if col != "date"]
+            names = [col for _, col in kept]
+            repeated = [col for col, count in Counter(names).items() if count > 1]
+            if repeated:
+                raise ValueError(f"{path}: repeated column names {repeated}")
+            if target not in names:
+                raise ValueError(f"{path}: target column {target!r} not in columns {names}")
 
-        cols = [i for i, _ in kept]
-        buf, problems = array("d"), []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                problems.append((lineno, f"expected {len(header)} fields, got {len(row)}"))
-                continue
-            try:
-                buf.extend([float(row[i]) for i in cols])
-            except ValueError:
-                bad = next(col for i, col in kept if not _is_float(row[i]))
-                problems.append((lineno, f"non-numeric value in column {bad!r}"))
+            values, problems = _parse_plain(path, fh, len(header), [i for i, _ in kept]), []
+            if values is None:
+                values, problems = _read_rows(fh, len(header), kept)
+    except UnicodeDecodeError as err:  # a ValueError that names no file
+        raise ValueError(f"{path}: {err}") from None
 
-    values = np.frombuffer(buf, dtype=np.float64).reshape(-1, len(kept))
     rows = len(values)
-    bad_rows = np.flatnonzero(~np.isfinite(values).all(axis=1))
-    if bad_rows.size:
+    # every value is finite if the smallest and largest are; no mask is needed
+    if not (math.isfinite(values.min(initial=0.0)) and math.isfinite(values.max(initial=0.0))):
         # line numbers of the parsed rows: every data line not already rejected
         skipped = [lineno for lineno, _ in problems]
         linenos = np.setdiff1d(np.arange(2, 2 + rows + len(skipped)), skipped)
-        for r in bad_rows:
+        for r in np.flatnonzero(~np.isfinite(values).all(axis=1)):
             bad = names[np.argmin(np.isfinite(values[r]))]
             problems.append((int(linenos[r]), f"non-finite value in column {bad!r}"))
     if problems:
@@ -215,6 +220,74 @@ def load_csv(path, target, name=None):
         channel_names=tuple(names),
         target=names.index(target),
     )
+
+
+def _scan(path):
+    """(lines, commas, empty lines) of the file at ``path``, read in blocks of
+    ``_SCAN_BYTES``, or None if it holds one of ``_ROW_LOOP_BYTES``.  A line
+    ends at \\r\\n, \\r or \\n, as Python's text files split them."""
+    lines = commas = empty = 0
+    tail = b""  # the previous block's last byte, for the pair across the seam
+    with open(path, "rb") as fh:
+        while block := fh.read(_SCAN_BYTES):
+            if any(byte in block for byte in _ROW_LOOP_BYTES):
+                return None
+            a = np.frombuffer(tail + block, dtype=np.uint8)
+            lf, cr = a == 10, a == 13
+            crlf = np.count_nonzero(cr[:-1] & lf[1:])
+            ends = np.logical_or(lf, cr, out=lf)  # a \r\n is two ends, one line
+            lines += np.count_nonzero(ends[len(tail):]) - crlf
+            empty += np.count_nonzero(ends[:-1] & ends[1:]) - crlf
+            commas += np.count_nonzero(a[len(tail):] == 44)
+            tail = block[-1:]
+    return lines + (tail not in b"\r\n"), commas, empty
+
+
+def _parse_plain(path, fh, n_fields, cols):
+    """The kept columns of the rest of ``fh`` as one float64 matrix, by one
+    ``np.loadtxt``; None when the file is not plain or numpy rejects a cell.
+
+    Two of numpy's rules differ from the row loop's: it skips empty lines,
+    and given ``usecols`` it ignores a row's extra fields.  So a plain file
+    has no empty line, and ``n_fields - 1`` commas a line on average over
+    all its lines, none of which may have fewer.  numpy rejects a row with
+    fewer fields when ``usecols`` reaches the last field.
+    """
+    if cols[-1] != n_fields - 1:
+        return None
+    scan = _scan(path)
+    if scan is None:
+        return None
+    lines, commas, empty = scan
+    if empty or lines < 2 or commas != (n_fields - 1) * lines:
+        return None
+    try:
+        return np.loadtxt(fh, delimiter=",", comments=None, usecols=cols, ndmin=2)
+    except ValueError:
+        return None
+
+
+def _read_rows(fh, n_fields, kept):
+    """(values, problems) of the data rows of ``fh``, read again from its
+    top one row at a time: each row's kept cells are appended to one flat
+    float64 buffer, whose view is the value matrix.  A ragged or
+    non-numeric row is left out and named by its line number in
+    ``problems``."""
+    fh.seek(0)
+    reader = csv.reader(fh)
+    next(reader)
+    cols = [i for i, _ in kept]
+    buf, problems = array("d"), []
+    for lineno, row in enumerate(reader, start=2):
+        if len(row) != n_fields:
+            problems.append((lineno, f"expected {n_fields} fields, got {len(row)}"))
+            continue
+        try:
+            buf.extend([float(row[i]) for i in cols])
+        except ValueError:
+            bad = next(col for i, col in kept if not _is_float(row[i]))
+            problems.append((lineno, f"non-numeric value in column {bad!r}"))
+    return np.frombuffer(buf, dtype=np.float64).reshape(-1, len(kept)), problems
 
 
 def _is_float(cell):

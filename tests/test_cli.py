@@ -537,6 +537,88 @@ def test_self_loop_in_graph_sidecar_names_file_and_line(tmp_path, capsys):
     assert f"{sidecar}:2: self-loop on channel 'C3'" in capsys.readouterr().err
 
 
+def test_byte_order_marks_are_dropped_from_csvs_and_sidecars(tmp_path, monkeypatch):
+    """A UTF-8 file may start with a byte-order mark; the first column, the
+    sidecar's first channel and a real CSV's target keep their names."""
+    csv_path = tmp_path / "marked.csv"
+    rows = b"".join(b"%d,%d\n" % (i, i % 7) for i in range(20))
+    csv_path.write_bytes(b"\xef\xbb\xbfC0,C1\n" + rows)
+    (tmp_path / "marked.graph.txt").write_bytes(b"\xef\xbb\xbfC0->C1\n")
+    dataset, _ = cli.resolve_dataset(str(csv_path), {"target": "C0"})
+    assert dataset.channel_names == ("C0", "C1") and dataset.target == 0
+    assert dataset.graph.edges == {(0, 1)}
+
+    monkeypatch.setenv("CGPT_DATA_DIR", str(tmp_path))
+    (tmp_path / "ETTh1.csv").write_bytes(b"\xef\xbb\xbfOT,date,HUFL\n30.5,2016,5.8\n")
+    dataset, _ = cli.resolve_dataset("etth1")
+    assert dataset.channel_names == ("OT", "HUFL") and dataset.target == 0
+
+
+@pytest.mark.parametrize("bad, dataset", [("data.csv", "data.csv"),
+                                          ("data.graph.txt", "data.csv"),
+                                          ("ETTh1.csv", "etth1")])  # read for its target
+def test_dataset_file_that_is_not_utf8_is_runtime_error_naming_it(tmp_path, monkeypatch,
+                                                                  capsys, bad, dataset):
+    monkeypatch.setenv("CGPT_DATA_DIR", str(tmp_path))
+    rows = "".join(f"{i},{i % 7}\n" for i in range(20))
+    (tmp_path / "data.csv").write_text("C0,OT\n" + rows)
+    (tmp_path / "data.graph.txt").write_text("C0->OT\n")
+    (tmp_path / "ETTh1.csv").write_text("C0,OT\n" + rows)
+    (tmp_path / bad).write_bytes(b"\xff" + (tmp_path / bad).read_bytes())
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("target=OT\n")
+    flags = ["--config", str(cfg)] if dataset.endswith(".csv") else []
+    capsys.readouterr()
+    assert main(["train", "--dataset", dataset, "--model", "dlinear",
+                 "--out", str(tmp_path / "runs"), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"cgpt: error: {tmp_path / bad}: 'utf-8' codec can't decode "), err
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_pure_whose_sidecar_gives_the_target_no_parent_is_located_before_any_work(
+        tmp_path, monkeypatch, capsys, command):
+    """``pure`` reads only the target's contexts: a sidecar that gives the
+    target none is exit 2 naming the target and the sidecar, raised before
+    an epoch or a batch runs."""
+    csv_path = tmp_path / "mydata.csv"
+    assert main(["gen-data", "--dataset", "additive", "--length", "1024",
+                 "--out", str(csv_path)]) == 0
+    sidecar = tmp_path / "mydata.graph.txt"
+    sidecar.write_text("C0->C1\n")
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(tiny_config("pure").replace("length=1024\n", "") + "target=C3\n")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("reached training or scoring")
+
+    monkeypatch.setattr(cli, "train", refuse)
+    monkeypatch.setattr(cli, "evaluate", refuse)
+    if command == "train":
+        argv = ["train", "--config", str(cfg), "--dataset", str(csv_path), "--model", "pure",
+                "--horizon", "1", "--out", str(tmp_path / "runs")]
+    else:
+        tiny_checkpoint(tmp_path / "pure.ckpt", "pure", 4)
+        argv = ["eval", "--checkpoint", str(tmp_path / "pure.ckpt"),
+                "--dataset", str(csv_path), "--config", str(cfg)]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err == ("cgpt: error: pure needs at least one context channel, "
+                                       f"but {sidecar} gives target 'C3' no parent\n")
+
+
+def test_pure_on_a_single_channel_csv_is_located_before_any_epoch(tmp_path, monkeypatch, capsys):
+    csv_path = tmp_path / "single.csv"
+    csv_path.write_text("OT\n" + "".join(f"{i % 7}\n" for i in range(1024)))
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(tiny_config("pure").replace("length=1024\n", "") + "target=OT\n")
+    monkeypatch.setattr(cli, "train", lambda *args: pytest.fail("reached training"))
+    assert main(["train", "--config", str(cfg), "--dataset", str(csv_path), "--model", "pure",
+                 "--horizon", "1", "--out", str(tmp_path / "runs")]) == 2
+    assert capsys.readouterr().err == ("cgpt: error: pure needs at least one context channel, "
+                                       "but dataset single has no channel besides target 'OT'\n")
+
+
 def test_csv_dataset_without_target_key_is_usage_error(tmp_path, capsys):
     csv_path = tmp_path / "mydata.csv"
     main(["gen-data", "--dataset", "additive", "--out", str(csv_path)])

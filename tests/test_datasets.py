@@ -1,8 +1,16 @@
+import csv
+import warnings
+from array import array
+from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
 
+from cgpt import datasets
 from cgpt.cli import main
 from cgpt.datasets import (
     BURN_IN,
@@ -348,6 +356,237 @@ def test_load_csv_holds_about_one_copy_of_the_values(tmp_path, capsys):
     ds, peak = traced_peak(lambda: load_csv(p, target="C3"))
     assert ds.values.shape == (6000, 4)
     assert peak <= 2 * ds.values.nbytes
+
+
+def test_load_csv_of_a_60000_row_gen_data_file_peaks_near_the_values(tmp_path, capsys):
+    """One parse into the value matrix: the traced peak stays within 15% of
+    the values (a buffer grown row by row took ~1.22x, a whole-file read
+    ~3.9x)."""
+    p = tmp_path / "gen.csv"
+    assert main(["gen-data", "--dataset", "additive", "--length", "60000", "--out", str(p)]) == 0
+    ds, peak = traced_peak(lambda: load_csv(p, target="C3"))
+    assert ds.values.shape == (60000, 4)
+    assert peak <= 1.15 * ds.values.nbytes
+
+
+def write_etth1_layout(path, n_rows):
+    """An ETTh1-shaped CSV: a date column, then three channels."""
+    values = np.random.default_rng(5).standard_normal((n_rows, 3))
+    lines = ["date,HUFL,MUFL,OT"]
+    lines += [f"2016-07-01 {i:05d},{a!r},{b!r},{c!r}"
+              for i, (a, b, c) in enumerate(values.tolist())]
+    path.write_text("\n".join(lines) + "\n")
+    return values
+
+
+def test_plain_csvs_are_parsed_without_the_row_loop(tmp_path, monkeypatch, capsys):
+    """gen-data's CSV and the ETTh1 layout take numpy's one parse; a quoted
+    file takes the row loop, which shows that the count sees it."""
+    calls = []
+    row_loop = datasets._read_rows
+    monkeypatch.setattr(datasets, "_read_rows", lambda *args: calls.append(1) or row_loop(*args))
+
+    gen = tmp_path / "gen.csv"
+    assert main(["gen-data", "--dataset", "additive", "--length", "600", "--out", str(gen)]) == 0
+    ds = load_csv(gen, target="C3")
+    assert ds.values.tobytes() == generate_additive(SyntheticConfig(length=600)).values.tobytes()
+    etth1 = tmp_path / "ETTh1.csv"
+    values = write_etth1_layout(etth1, 300)
+    assert load_csv(etth1, target="OT").values.tobytes() == values.tobytes()
+    assert calls == []
+
+    etth1.write_text(etth1.read_text().replace("2016-07-01 00007", '"2016-07-01 00007"'))
+    assert load_csv(etth1, target="OT").values.tobytes() == values.tobytes()
+    assert calls == [1]
+
+
+BOM = "\ufeff"
+
+
+def test_load_csv_drops_a_byte_order_mark(tmp_path):
+    p = write_case(tmp_path, BOM + "C0,OT\n1,2\n")
+    assert load_csv(p, target="C0").channel_names == ("C0", "OT")
+    p = write_case(tmp_path, BOM + CSV_BODY)  # the marked column is still dropped
+    assert load_csv(p, target="OT").channel_names == ("a", "b", "OT")
+
+
+@pytest.mark.parametrize("data", [b"a,OT\n1,\xff\n", b"a,\xffOT\n1,2\n", b"\xff"])
+def test_load_csv_of_bytes_that_are_not_utf8_names_the_file(tmp_path, data):
+    p = tmp_path / "latin.csv"
+    p.write_bytes(data)
+    with pytest.raises(ValueError) as err:
+        load_csv(p, target="OT")
+    assert str(err.value).startswith(f"{p}: 'utf-8' codec can't decode byte 0xff in position ")
+
+
+# Files each check of the fast path exists for; each gives the row loop's
+# message, with no warning.
+FAST_PATH_TRAPS = [
+    ("numpy_strips_1c", "a,OT\n1,2\n1\x1c,3\n",
+     "rejected 1 rows: line 3: non-numeric value in column 'a'"),
+    ("numpy_strips_1d", "a,OT\n1,2\n\x1d1,3\n",
+     "rejected 1 rows: line 3: non-numeric value in column 'a'"),
+    ("numpy_strips_1e", "a,OT\n1,2\n1\x1e,3\n",
+     "rejected 1 rows: line 3: non-numeric value in column 'a'"),
+    ("numpy_strips_1f", "a,OT\n1,2\n\x1f1,3\n",
+     "rejected 1 rows: line 3: non-numeric value in column 'a'"),
+    ("ragged_rows_that_balance_before_a_last_date", "a,OT,date\n1,2\n3,4,d,e\n",
+     "rejected 2 rows: line 2: expected 3 fields, got 2; line 3: expected 3 fields, got 4"),
+    ("quoted_comma_across_two_dates", 'a,date,date,OT\n1,"x,y",2\n',
+     "rejected 1 rows: line 2: expected 4 fields, got 3"),
+    ("only_an_empty_line", "OT\n\n", "rejected 1 rows: line 2: expected 1 fields, got 0"),
+]
+
+
+@pytest.mark.parametrize("text, message", [case[1:] for case in FAST_PATH_TRAPS],
+                         ids=[case[0] for case in FAST_PATH_TRAPS])
+def test_files_numpy_would_misread_get_the_row_loops_message(tmp_path, text, message):
+    p = write_case(tmp_path, text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as err:
+            load_csv(p, target="OT")
+    assert str(err.value) == f"{p}: {message}"
+    with pytest.raises(ValueError) as frozen:
+        frozen_load_csv(p, target="OT")
+    assert str(frozen.value) == str(err.value)
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 4, 1 << 15])
+def test_scan_counts_lines_alike_in_any_block_size(tmp_path, monkeypatch, block):
+    """A \\r\\n or an empty line split across two blocks counts once."""
+    monkeypatch.setattr(datasets, "_SCAN_BYTES", block)
+    cases = [("a,OT\r\n1,2\r\r\n3,4\n\n5,6\r", (6, 4, 2)),
+             ("a,OT\r\n1,2\r\n3,4", (3, 3, 0)),
+             ("OT\r1\n\r\n2\r\n", (4, 0, 1)),
+             ("a,OT\n1,2\n", (2, 2, 0))]
+    for text, expected in cases:
+        assert datasets._scan(write_case(tmp_path, text)) == expected, text
+
+
+def frozen_load_csv(path, target, name=None):
+    """The loader before numpy's parse, kept as the reference the
+    differential test checks against: every data row read by ``csv.reader``
+    and appended to one flat float64 buffer.  It reads UTF-8 explicitly."""
+    path = Path(path)
+    if not path.exists():
+        raise ValueError(f"no such file: {path}")
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ValueError(f"{path}: empty dataset (no header row)") from None
+
+        kept = [(i, col) for i, col in enumerate(header) if col != "date"]
+        names = [col for _, col in kept]
+        repeated = [col for col, count in Counter(names).items() if count > 1]
+        if repeated:
+            raise ValueError(f"{path}: repeated column names {repeated}")
+        if target not in names:
+            raise ValueError(f"{path}: target column {target!r} not in columns {names}")
+
+        cols = [i for i, _ in kept]
+        buf, problems = array("d"), []
+        for lineno, row in enumerate(reader, start=2):
+            if len(row) != len(header):
+                problems.append((lineno, f"expected {len(header)} fields, got {len(row)}"))
+                continue
+            try:
+                buf.extend([float(row[i]) for i in cols])
+            except ValueError:
+                bad = next(col for i, col in kept if not frozen_is_float(row[i]))
+                problems.append((lineno, f"non-numeric value in column {bad!r}"))
+
+    values = np.frombuffer(buf, dtype=np.float64).reshape(-1, len(kept))
+    rows = len(values)
+    bad_rows = np.flatnonzero(~np.isfinite(values).all(axis=1))
+    if bad_rows.size:
+        skipped = [lineno for lineno, _ in problems]
+        linenos = np.setdiff1d(np.arange(2, 2 + rows + len(skipped)), skipped)
+        for r in bad_rows:
+            bad = names[np.argmin(np.isfinite(values[r]))]
+            problems.append((int(linenos[r]), f"non-finite value in column {bad!r}"))
+    if problems:
+        problems.sort()
+        shown = "; ".join(f"line {lineno}: {what}" for lineno, what in problems[:10])
+        more = f" (+{len(problems) - 10} more)" if len(problems) > 10 else ""
+        raise ValueError(f"{path}: rejected {len(problems)} rows: {shown}{more}")
+    if not rows:
+        raise ValueError(f"{path}: empty dataset (header only)")
+    return names, values
+
+
+def frozen_is_float(cell):
+    try:
+        float(cell)
+        return True
+    except ValueError:
+        return False
+
+
+# The CSV grammar: files of plain numeric rows, which numpy's parse reads,
+# each spoiled in up to two places by a spelling, a line or a quote that
+# only the row loop reads or rejects.
+FINITE = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+PLAIN_CELLS = st.one_of(FINITE, FINITE, st.sampled_from(
+    ["0", "-0", "+1e-3", "-2.5E+2", ".5", "1.", "1.7e308", "-5e-324", " 1.5 ", "\t2", "3 "]))
+ODD_CELLS = st.sampled_from(
+    ['"1.5"', "nan", "-inf", "Infinity", "1e500", "", "x", "1_0", "\u0661\u0662", "\uff11",
+     "1.5\xa0", "\xa01", "2\x0c", "1\x1f", "\x1c2", "#1", "1 2", "0x10", "1\x00"])
+PLAIN_DATES = st.sampled_from(["2020-01-01", "2016-07-01 00:00:00", "", "d"])
+ODD_DATES = st.sampled_from(['"2020, Jan"', '"2020\nJan"', '"a\r\nb"', '"x"', '"1,2"'])
+ENDINGS = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+@st.composite
+def csv_texts(draw):
+    names = draw(st.lists(st.sampled_from(["a", "b", "OT"]), min_size=1, max_size=3, unique=True))
+    if "OT" not in names:
+        names.append("OT")
+    columns = list(names)
+    for at in draw(st.lists(st.integers(0, len(names)), max_size=2)):
+        columns.insert(at, "date")
+
+    def row(width):
+        return [draw(PLAIN_DATES if i < len(columns) and columns[i] == "date" else PLAIN_CELLS)
+                for i in range(width)]
+
+    lines = [columns] + [row(len(columns)) for _ in range(draw(st.integers(0, 5)))]
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        at = draw(st.integers(1, len(lines)))
+        spoil = draw(st.sampled_from(["cell", "date", "blank", "spaces", "short", "long"]))
+        if spoil in ("cell", "date") and at < len(lines) and isinstance(lines[at], list):
+            i = draw(st.integers(0, len(lines[at]) - 1))
+            lines[at][i] = draw(ODD_DATES if spoil == "date" else ODD_CELLS)
+        elif spoil in ("short", "long"):
+            lines.insert(at, row(len(columns) + (1 if spoil == "long" else -1)))
+        else:
+            lines.insert(at, "" if spoil == "blank" else draw(st.sampled_from([" ", "\t", " \t "])))
+    text = "".join((line if isinstance(line, str) else ",".join(line)) + draw(ENDINGS)
+                   for line in lines)
+    return text if draw(st.booleans()) else text.rstrip("\r\n")
+
+
+@settings(max_examples=400, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=csv_texts())
+def test_load_csv_matches_the_frozen_row_loop(tmp_path, text):
+    """Each drawn file gives the frozen loader's channel names and value
+    bytes, or its message, and no warning."""
+    p = write_case(tmp_path, text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no warning may reach stderr
+        try:
+            names, values = frozen_load_csv(p, target="OT")
+        except ValueError as err:
+            with pytest.raises(ValueError) as got:
+                load_csv(p, target="OT")
+            assert str(got.value) == str(err)
+            return
+        ds = load_csv(p, target="OT")
+        assert ds.channel_names == tuple(names)
+        assert ds.values.shape == values.shape
+        assert ds.values.tobytes() == values.tobytes()
 
 # ---------------------------------------------------------------- splits
 
