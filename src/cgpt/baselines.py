@@ -79,15 +79,15 @@ class DLinearModel(_Baseline):
         }
 
     def forward(self, batch, revin=False):
-        def forecast(context):
-            x = Tensor(np.ascontiguousarray(context[:, :, batch.target_channel]))
+        def forecast(x):
+            x = Tensor(x[0])
             trend = matmul(x, self._avg)
             remainder = x - trend
             p = self.params
             return (matmul(trend, p["trend.w"]) + p["trend.b"]) \
                 + (matmul(remainder, p["seasonal.w"]) + p["seasonal.b"])
 
-        return revin_forecast(forecast, batch, revin)
+        return revin_forecast(forecast, batch, revin, [batch.target_channel])
 
 
 class MlpBaseline(_Baseline):
@@ -125,9 +125,9 @@ class MlpBaseline(_Baseline):
             raise ValueError(
                 f"model was built for {self.n_vars} channels, batch has {n_channels}")
 
-        def forecast(context):
+        def forecast(x):
             # row-major flatten: time-major order, channels fastest
-            h = reshape(Tensor(context), (context.shape[0], self.l_ctx * self.n_vars))
+            h = reshape(Tensor(x.transpose(1, 2, 0)), (x.shape[1], self.l_ctx * self.n_vars))
             p = self.params
             # one op per statement, so that under no_grad each input dies as
             # soon as its consumer returns: at most two (B, hidden) arrays live
@@ -138,4 +138,4 @@ class MlpBaseline(_Baseline):
             h = matmul(h, p["out.w"])
             return h + p["out.b"]
 
-        return revin_forecast(forecast, batch, revin)
+        return revin_forecast(forecast, batch, revin, range(n_channels))

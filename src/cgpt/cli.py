@@ -30,7 +30,7 @@ from pathlib import Path
 from .baselines import DLinearModel, MlpBaseline
 from .checkpoint import format, load_checkpoint, parse, read_value, save_checkpoint
 from .datasets import (SplitPolicy, SyntheticConfig, generate_additive,
-                       generate_interactive, load_csv, prepare_dataset)
+                       generate_interactive, load_csv, open_text, prepare_dataset)
 from .model import CausalGraph, CgptModel, Variant, select_contexts
 from .training import TrainConfig, evaluate, mean_std, result_record, run_seeds, train
 
@@ -149,11 +149,12 @@ _CONVERTERS.update(l_ctx=_positive_int, h_pred=_positive_int, n_vars=_positive_i
 
 
 def _parse_file(path, where, error, read=None):
-    """``parse`` of the text file at ``path``; each defect raises ``error``."""
+    """``parse`` of the UTF-8 text file at ``path`` (``open_text``); each
+    defect raises ``error``."""
     try:
-        return parse(path.read_text(), where, read)
-    except UnicodeDecodeError as err:  # a ValueError that names no file
-        raise error(f"{path}: {err}") from None
+        with open_text(path) as fh:
+            text = fh.read()
+        return parse(text, where, read)
     except ValueError as err:
         raise error(err) from None
 
@@ -206,11 +207,8 @@ def _data_dir():
 
 
 def _first_column(path, predicate, description):
-    try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            header = next(csv.reader(fh), [])
-    except UnicodeDecodeError as err:  # a ValueError that names no file
-        raise ValueError(f"{path}: {err}") from None
+    with open_text(path) as fh:
+        header = next(csv.reader(fh), [])
     for col in header:
         if predicate(col):
             return col
@@ -230,14 +228,12 @@ def _sidecar_path(csv_path):
 
 def _load_graph_sidecar(csv_path, channel_names):
     """Optional '<stem>.graph.txt' next to a CSV: one 'NAME->NAME' edge per
-    line, in UTF-8; a leading byte-order mark is dropped."""
+    line, in UTF-8 (``open_text``)."""
     sidecar = _sidecar_path(csv_path)
     if not sidecar.exists():
         return None
-    try:
-        text = sidecar.read_text(encoding="utf-8-sig")
-    except UnicodeDecodeError as err:  # a ValueError that names no file
-        raise ValueError(f"{sidecar}: {err}") from None
+    with open_text(sidecar) as fh:
+        text = fh.read()
     index = {name: i for i, name in enumerate(channel_names)}
     edges = []
     for lineno, line in enumerate(text.splitlines(), start=1):

@@ -9,10 +9,12 @@ trap a causally-guided model should ignore.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import math
 from array import array
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
@@ -158,6 +160,40 @@ _SCAN_BYTES = 1 << 15  # bytes of a CSV scanned at a time; not from the paper
 _ROW_LOOP_BYTES = b'"\x1c\x1d\x1e\x1f'
 
 
+@contextmanager
+def open_text(path):
+    """The UTF-8 text file at ``path``, open for reading, with a leading
+    byte-order mark dropped and line ends left to the reader (``newline=""``,
+    as the csv module needs).  A byte that is not UTF-8 is a ValueError
+    naming the file and the byte's offset from the start of the file."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as err:  # its position counts from the decoder's block
+            raise _decode_error(path, err) from None
+
+
+def _decode_error(path, err):
+    """``err`` found again by decoding the file at ``path`` from its first
+    byte, so that its position is an offset into the file."""
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    offset = 0
+    with open(path, "rb") as fh:
+        while True:
+            block = fh.read(_SCAN_BYTES)
+            base = offset - len(decoder.getstate()[0])  # where the bytes decoded next start
+            try:
+                decoder.decode(block, final=not block)
+            except UnicodeDecodeError as found:
+                first, last = base + found.start, base + found.end - 1
+                what = (f"byte 0x{found.object[found.start]:02x} in position {first}"
+                        if first == last else f"bytes in position {first}-{last}")
+                return ValueError(f"{path}: 'utf-8' codec can't decode {what}: {found.reason}")
+            if not block:  # the file no longer holds the bad byte
+                return ValueError(f"{path}: {err}")
+            offset += len(block)
+
+
 def load_csv(path, target, name=None):
     """Read a header+rows UTF-8 CSV into a dataset; strict about malformed cells.
 
@@ -177,25 +213,22 @@ def load_csv(path, target, name=None):
     path = Path(path)
     if not path.exists():
         raise ValueError(f"no such file: {path}")
-    try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            header = next(csv.reader(fh), None)
-            if header is None:
-                raise ValueError(f"{path}: empty dataset (no header row)")
+    with open_text(path) as fh:
+        header = next(csv.reader(fh), None)
+        if header is None:
+            raise ValueError(f"{path}: empty dataset (no header row)")
 
-            kept = [(i, col) for i, col in enumerate(header) if col != "date"]
-            names = [col for _, col in kept]
-            repeated = [col for col, count in Counter(names).items() if count > 1]
-            if repeated:
-                raise ValueError(f"{path}: repeated column names {repeated}")
-            if target not in names:
-                raise ValueError(f"{path}: target column {target!r} not in columns {names}")
+        kept = [(i, col) for i, col in enumerate(header) if col != "date"]
+        names = [col for _, col in kept]
+        repeated = [col for col, count in Counter(names).items() if count > 1]
+        if repeated:
+            raise ValueError(f"{path}: repeated column names {repeated}")
+        if target not in names:
+            raise ValueError(f"{path}: target column {target!r} not in columns {names}")
 
-            values, problems = _parse_plain(path, fh, len(header), [i for i, _ in kept]), []
-            if values is None:
-                values, problems = _read_rows(fh, len(header), kept)
-    except UnicodeDecodeError as err:  # a ValueError that names no file
-        raise ValueError(f"{path}: {err}") from None
+        values, problems = _parse_plain(path, fh, len(header), [i for i, _ in kept]), []
+        if values is None:
+            values, problems = _read_rows(fh, len(header), kept)
 
     rows = len(values)
     # every value is finite if the smallest and largest are; no mask is needed

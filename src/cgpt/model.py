@@ -228,15 +228,13 @@ def cgpt_forward(batch, model, revin=False):
     if target in contexts:
         raise ValueError(f"target channel {target} listed among contexts {contexts}")
 
-    needs_target = cfg.variant is not Variant.PURE_INFLUENCE
-    channels = ([target] if needs_target else []) + contexts
-
-    def forecast(context):
-        latents = {ch: model.encode_channel(np.ascontiguousarray(context[:, :, ch]))
-                   for ch in channels}
-        z_target = latents.get(target)
-        infl = [influence(z_target, latents[ch], model) for ch in contexts]
+    def forecast(x):
+        # x[0] is the target's history, x[1:] the contexts'; pure never reads x[0]
+        pure = cfg.variant is Variant.PURE_INFLUENCE
+        z_target = None if pure else model.encode_channel(x[0])
+        z_contexts = [model.encode_channel(series) for series in x[1:]]
+        infl = [influence(z_target, z_context, model) for z_context in z_contexts]
         mixed = aggregate(z_target, infl, cfg.variant)
         return matmul(mixed, model.head_params["w"]) + model.head_params["b"]
 
-    return revin_forecast(forecast, batch, revin)
+    return revin_forecast(forecast, batch, revin, [target, *contexts])

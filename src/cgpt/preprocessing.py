@@ -2,9 +2,9 @@
 
 The series axis is always the last one, so the same code serves a single
 series, a (batch, length) stack or a (batch, channel, length) block.
-Everything works on plain numpy arrays except the RevIN wrapper every
-model forecasts through (``revin_forecast``) and its ``revin_denormalize``,
-which map a model's output Tensor back to the target window's scale.
+Everything works on plain numpy arrays except ``revin_forecast``, which
+hands each model the channels it reads, normalizing only those under RevIN,
+and ``revin_denormalize``, which maps a model's output Tensor back.
 """
 
 from __future__ import annotations
@@ -51,23 +51,23 @@ def revin_denormalize(y, stats):
     return y * Tensor(stats.stdev) + Tensor(stats.mean)
 
 
-def revin_forecast(forecast, batch, revin):
-    """``forecast(context)`` on ``batch``, under RevIN when ``revin`` is set.
+def revin_forecast(forecast, batch, revin, channels):
+    """``forecast(x)`` on the listed ``channels`` of ``batch``, under RevIN
+    when ``revin`` is set: the one place a batch becomes model input.
 
-    RevIN (Kim et al., ICLR 2022) normalizes every channel of every window
-    once, runs ``forecast`` on the normalized (batch, l_ctx, n_channels)
-    context and maps its output back with the target window's stats.  The
-    stats come from a contiguous (batch, channel, l_ctx) copy, so each
-    window's series is summed as one contiguous row.
+    ``x`` is (len(channels), batch, l_ctx): a view of ``batch.context`` when
+    ``channels`` is every channel in order, else one C-order copy.  RevIN
+    (Kim et al., ICLR 2022) normalizes each window of that block once, from
+    a contiguous copy, and maps the output back with the target's stats.
     """
+    channels = list(channels)
+    x = batch.context.transpose(2, 0, 1)
+    x = x if channels == list(range(len(x))) else x[channels]
     if not revin:
-        return forecast(batch.context)
-    normalized, stats = revin_normalize(
-        np.ascontiguousarray(batch.context.transpose(0, 2, 1)))
-    out = forecast(normalized.transpose(0, 2, 1))
-    target = batch.target_channel
-    return revin_denormalize(
-        out, RevinStats(mean=stats.mean[:, target], stdev=stats.stdev[:, target]))
+        return forecast(x)
+    x, stats = revin_normalize(np.ascontiguousarray(x))  # the raw block dies here
+    t = channels.index(batch.target_channel)
+    return revin_denormalize(forecast(x), RevinStats(mean=stats.mean[t], stdev=stats.stdev[t]))
 
 
 @dataclass(frozen=True)

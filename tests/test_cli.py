@@ -575,6 +575,41 @@ def test_dataset_file_that_is_not_utf8_is_runtime_error_naming_it(tmp_path, monk
     assert err.startswith(f"cgpt: error: {tmp_path / bad}: 'utf-8' codec can't decode "), err
 
 
+def test_config_files_and_records_drop_a_byte_order_mark(tmp_path):
+    """Config files and records are read as UTF-8 with a leading byte-order
+    mark dropped, as CSVs and sidecars are: the first key keeps its name."""
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_bytes(b"\xef\xbb\xbfdataset=additive\nlr=0.1\n")
+    assert cli.read_config(cfg) == {"dataset": "additive", "lr": 0.1}
+    runs = tmp_path / "runs"
+    fake_record(runs)
+    record = next(runs.rglob("result_*.txt"))
+    record.write_bytes(b"\xef\xbb\xbf" + record.read_bytes())
+    assert cli._collect_records(runs)[0]["dataset"] == "additive"
+
+
+@pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["plain", "marked"])
+@pytest.mark.parametrize("reader", ["load_csv", "header_probe"])
+def test_an_undecodable_byte_is_located_by_its_offset_in_the_file(tmp_path, reader, bom):
+    """Text is decoded in blocks of a few KiB; the position a decode error
+    names still counts from the file's first byte, a byte-order mark too."""
+    path = tmp_path / "long.csv"
+    if reader == "load_csv":
+        rows = b"".join(b"%d,%d\n" % (i, i % 7) for i in range(9000))
+        path.write_bytes(bom + b"C0,OT\n" + rows + b"3,\xff\n")
+        read = lambda: load_csv(path, target="OT")  # noqa: E731
+    else:
+        columns = b",".join(b"C%d" % i for i in range(3000))
+        path.write_bytes(bom + columns + b",\xffOT\n" + b"0," * 3000 + b"0\n")
+        read = lambda: cli._first_column(path, lambda col: col == "OT", "OT")  # noqa: E731
+    offset = path.read_bytes().index(b"\xff")
+    assert offset > 10000
+    with pytest.raises(ValueError) as err:
+        read()
+    assert str(err.value) == (f"{path}: 'utf-8' codec can't decode byte 0xff in position "
+                              f"{offset}: invalid start byte")
+
+
 @pytest.mark.parametrize("command", ["train", "eval"])
 def test_pure_whose_sidecar_gives_the_target_no_parent_is_located_before_any_work(
         tmp_path, monkeypatch, capsys, command):

@@ -16,7 +16,8 @@ only there; a failure says whether this machine runs those paths.  A
 change that moves results on purpose must regenerate them and say so.
 Running this file as a script, ``PYTHONPATH=src python
 tests/test_golden_records.py``, prints ``PINNED_ON`` and the ``GOLDEN`` and
-``GOLDEN_MULTIHEAD`` dicts for this machine and the current code.
+``GOLDEN_MULTIHEAD`` dicts for this machine and the current code, and
+each record's largest relative float move against the pinned text.
 
 The synthetic generators' outputs are pinned the same way, by the sha256
 of ``values.tobytes()``.
@@ -25,6 +26,7 @@ of ``values.tobytes()``.
 import ctypes
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +38,7 @@ from cgpt.datasets import (SplitPolicy, SyntheticConfig, generate_additive,
 from cgpt.layers import EncoderConfig
 from cgpt.model import CgptConfig, CgptModel, Variant
 from cgpt.preprocessing import PatchConfig
-from cgpt.training import TrainConfig, result_record, train
+from cgpt.training import TrainConfig, parse_record, result_record, train
 
 L_CTX, H_PRED = 32, 2
 ENCODER = EncoderConfig(d_model=8, d_ff=16, n_heads=1, e_layers=1,
@@ -280,6 +282,16 @@ def test_multihead_result_record_matches_golden_text(data, name, revin):
             == GOLDEN_MULTIHEAD[name, revin]), pinned_paths_note()
 
 
+def test_move_report_is_the_largest_relative_move_of_any_float():
+    pinned = GOLDEN["leaky", False]
+    assert largest_move(pinned, pinned) == 0.0
+    mae = 0.9424393380995939
+    moved = pinned.replace(f"test_mae={mae!r}", f"test_mae={mae * 1.001!r}")
+    assert largest_move(moved, pinned) == pytest.approx(1e-3, rel=1e-9)
+    shorter = pinned.replace(",1.4640160502354247", "")
+    assert largest_move(shorter, pinned) == math.inf
+
+
 GENERATORS = {"additive": generate_additive, "interactive": generate_interactive}
 
 GENERATOR_SHA256 = {
@@ -301,14 +313,36 @@ def test_generator_values_match_pinned_bytes(kind, seed, length):
             == GENERATOR_SHA256[kind, seed, length]), pinned_paths_note()
 
 
-def print_golden(title, data, keys, encoder):
+FLOAT_KEYS = ("test_mae", "test_mse", "train_losses", "val_losses")
+
+
+def largest_move(record, pinned):
+    """The largest relative move of any float of ``record`` against the
+    ``pinned`` text; inf when the two hold different numbers of floats."""
+    def floats(text):
+        values = parse_record(text)
+        return [float(v) for key in FLOAT_KEYS for v in values[key].split(",")]
+
+    new, old = floats(record), floats(pinned)
+    if len(new) != len(old):
+        return math.inf
+    return max(abs(a - b) / abs(b) if b else abs(a) for a, b in zip(new, old))
+
+
+def print_golden(title, data, pinned, encoder):
+    """Print the ``title`` dict for this machine and the current code, then
+    each record's largest relative move against ``pinned``, as comments."""
+    records = {key: golden_record(data, *key, encoder) for key in pinned}
     print(f"{title} = {{")
-    for name, revin in keys:
-        lines = golden_record(data, name, revin, encoder).splitlines(keepends=True)
+    for (name, revin), record in records.items():
         print(f"    ({json.dumps(name)}, {revin}): (")
-        print("\n".join(f"        {json.dumps(line)}" for line in lines))
+        print("\n".join(f"        {json.dumps(line)}"
+                        for line in record.splitlines(keepends=True)))
         print("    ),")
     print("}")
+    for (name, revin), record in records.items():
+        print(f"# {title}[{json.dumps(name)}, {revin}]: largest relative move "
+              f"{largest_move(record, pinned[name, revin])}")
 
 
 if __name__ == "__main__":

@@ -283,6 +283,67 @@ def test_pure_with_revin_denormalizes_with_target_stats():
     assert np.abs(moved - (out * 2.0 + 10.0)).max() < 1e-9
 
 
+# ---------------------------------------------------------------- what the model can express
+
+def linear_cgpt(variant, alpha, beta):
+    """A cgpt model whose forecast is x_t·alpha + sum over contexts of
+    x_c·beta (pure: the sum alone): one token per channel, an identity
+    encoder, and an influence MLP run where gelu is the identity."""
+    l_ctx, d = len(alpha), TOY_ENC.d_model
+    enc = EncoderConfig(d_model=d, d_ff=16, n_heads=1, e_layers=1,
+                        patch=PatchConfig(l_ctx, l_ctx), n_p_max=1)
+    model = CgptModel(CgptConfig(encoder=enc, l_ctx=l_ctx, h_pred=1, variant=variant), seed=0)
+    p = model.parameters()
+    for name in ("layer0.wo", "layer0.bo", "layer0.ffn.w2", "layer0.ffn.b2", "pos",
+                 "patch_embed.b", "patch_embed.w"):
+        p["encoder." + name].data[:] = 0.0
+    p["encoder.patch_embed.w"].data[:, 0] = alpha  # latent[0] = x·alpha
+    p["encoder.patch_embed.w"].data[:, 1] = beta   # latent[1] = x·beta
+    w1, b1, w2, b2 = (p["influence." + k].data for k in ("w1", "b1", "w2", "b2"))
+    w1[:], w2[:] = 0.0, 0.0
+    w1[d + 1, 0] = 1.0  # hidden[0] = x_c·beta + 100, where gelu's tanh rounds to 1.0
+    b1[:] = 100.0
+    w2[0, 0] = 1.0
+    b2[:] = -(b1 + model.placeholder.data @ w1[:d]) @ w2  # takes the offset back off
+    p["head.w"].data[:] = 0.0
+    p["head.w"].data[0, 0] = 1.0
+    p["head.b"].data[:] = 0.0
+    return model
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_model_represents_the_lag_linear_predictor(variant):
+    l_ctx = 16
+    rng = np.random.default_rng(21)
+    alpha, beta = rng.standard_normal(l_ctx), rng.standard_normal(l_ctx)
+    model = linear_cgpt(variant, alpha, beta)
+    batch = toy_batch(n_channels=4, contexts=(0, 2), target=3, batch=32, l_ctx=l_ctx, seed=22)
+    x = batch.context
+    want = x[:, :, 0] @ beta + x[:, :, 2] @ beta
+    if variant is not Variant.PURE_INFLUENCE:
+        want += x[:, :, 3] @ alpha
+    assert np.abs(beta @ x[:, :, [0, 2]]).max() < 90.0  # keeps gelu where tanh is 1.0
+    out = cgpt_forward(batch, model).data[:, 0]
+    assert np.abs(out - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("revin", [False, True])
+@pytest.mark.parametrize("variant", list(Variant))
+def test_contexts_enter_as_an_exchangeable_set(variant, revin):
+    """Swapping two contexts' columns together with their order in
+    ``context_channels`` is the same forward; swapping the columns alone
+    only reorders the sum of influences."""
+    model = toy_model(variant, seed=23)
+    batch = toy_batch(n_channels=5, contexts=(0, 1, 2), target=4, seed=24)
+    base = cgpt_forward(batch, model, revin=revin).data
+    swapped = np.ascontiguousarray(batch.context[:, :, [2, 1, 0, 3, 4]])
+    relabelled = WindowBatch(swapped, batch.target_future, 4, (2, 1, 0))
+    assert np.array_equal(cgpt_forward(relabelled, model, revin=revin).data, base)
+    reordered = WindowBatch(swapped, batch.target_future, 4, (0, 1, 2))
+    moved = cgpt_forward(reordered, model, revin=revin).data
+    assert np.abs(moved - base).max() <= 1e-12 * np.abs(base).max()
+
+
 # ---------------------------------------------------------------- autodiff through the model
 
 @pytest.mark.parametrize("variant", list(Variant))

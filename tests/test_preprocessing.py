@@ -17,10 +17,13 @@ from cgpt.preprocessing import (
     iter_window_batches,
     make_patches,
     revin_denormalize,
+    revin_forecast,
     revin_normalize,
     window_starts,
 )
 from cgpt.tensor import Tensor
+
+from conftest import traced_peak
 
 
 # ---------------------------------------------------------------- revin
@@ -130,7 +133,48 @@ def test_revin_normalizes_once_per_forward(monkeypatch, name):
         if hasattr(module, "revin_normalize"):
             monkeypatch.setattr(module, "revin_normalize", counted)
     build_model(name).forward(scaled_batch(), revin=True)
-    assert shapes == [(4, 3, 16)]
+    assert shapes == [(1 if name == "dlinear" else 3, 4, 16)]
+
+
+def test_model_input_is_a_view_of_every_channel_in_order_else_one_copy():
+    batch = scaled_batch()
+    every = revin_forecast(lambda x: x, batch, False, range(3))
+    assert every.shape == (3, 4, 16) and np.shares_memory(every, batch.context)
+    listed = revin_forecast(lambda x: x, batch, False, [2, 0])
+    assert listed.flags.c_contiguous and not np.shares_memory(listed, batch.context)
+    assert np.array_equal(listed, batch.context.transpose(2, 0, 1)[[2, 0]])
+
+
+@pytest.mark.parametrize("revin", [False, True])
+@pytest.mark.parametrize("name", ["leaky", "strict", "pure"])
+def test_view_and_copy_of_the_same_channels_forecast_the_same_bits(name, revin):
+    """Target 0 with contexts 1..3 reads every channel in order (a view);
+    the same columns permuted are read through a copy."""
+    m = build_model(name)
+    rng = np.random.default_rng(12)
+    context = rng.standard_normal((4, 16, 4)) * [0.5, 3.0, 40.0, 1.0] + [1.0, -7.0, 250.0, 0.0]
+    in_order = WindowBatch(context, rng.standard_normal((4, 3)), 0, (1, 2, 3))
+    perm = [2, 0, 3, 1]  # column j of the permuted batch holds channel perm[j]
+    permuted = WindowBatch(np.ascontiguousarray(context[:, :, perm]), in_order.target_future,
+                           perm.index(0), tuple(perm.index(c) for c in (1, 2, 3)))
+    assert np.array_equal(m.forward(in_order, revin=revin).data,
+                          m.forward(permuted, revin=revin).data)
+
+
+@pytest.mark.parametrize("name", ["strict", "dlinear"])
+def test_unread_channels_add_no_bytes_to_a_revin_forward(name):
+    """A batch with 60 more channels than the model reads: RevIN normalizes
+    only the read ones, so the traced peak of a forward does not grow."""
+    m = build_model(name)
+    narrow = scaled_batch()
+    extra = np.random.default_rng(13).standard_normal((4, 16, 60))
+    wide = WindowBatch(np.concatenate([narrow.context, extra], axis=2), narrow.target_future,
+                       narrow.target_channel, narrow.context_channels)
+    runs = [traced_peak(lambda: m.forward(batch, revin=True).data)
+            for batch in (narrow, wide, narrow, wide)]  # the first pair warms up
+    (narrow_out, narrow_peak), (wide_out, wide_peak) = runs[2:]
+    assert np.array_equal(wide_out, narrow_out)
+    assert abs(wide_peak - narrow_peak) <= 4096, (narrow_peak, wide_peak)
 
 
 # ---------------------------------------------------------------- patches
